@@ -70,6 +70,6 @@ pub use float::{approx_eq, approx_zero, DEFAULT_EPSILON};
 pub use latency::LatencyModel;
 pub use mapchart::{PopularityVector, PopularityView, MAX_INTENSITY};
 pub use matrix::CountryMatrix;
-pub use select::top_k_by;
+pub use select::{top_k_by, TopK};
 pub use traffic::TrafficModel;
 pub use vec::CountryVec;

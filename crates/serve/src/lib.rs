@@ -18,8 +18,9 @@
 //! * [`server`] — the accept loop: non-blocking accepts drained in
 //!   batches onto the `tagdist-par` worker pool, each connection
 //!   pinning the current epoch (an `Arc` clone) for its whole
-//!   lifetime. Publishing a new epoch under live traffic never locks
-//!   the read path.
+//!   lifetime. Publishing a new epoch under live traffic costs a
+//!   reader one mutex-guarded `Arc` clone per accept batch; no lock
+//!   is held while a request is answered.
 //! * [`signal`] — SIGTERM/SIGINT → graceful-shutdown flag (the one
 //!   sanctioned `unsafe` outside `tagdist-dataset`'s mmap module).
 //! * [`loadgen`] — `tagdist bench-serve`: replays seeded synthetic
@@ -43,6 +44,7 @@
 )]
 
 pub mod http;
+mod keys;
 pub mod loadgen;
 pub mod query;
 pub mod server;

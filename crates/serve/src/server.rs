@@ -23,11 +23,10 @@
 //! `TAGDIST_THREADS`, which is what the CI serve-oracle lane `cmp`s
 //! and the bench gate locks in.
 
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use tagdist::geo::{GeoDist, TrafficModel};
@@ -37,6 +36,7 @@ use tagdist::reconstruct::{EpochSnapshot, SnapshotCell};
 use tagdist::tags::GeoTagIndex;
 
 use crate::http::{percent_decode, write_response, RequestReader};
+use crate::keys::KeyIndex;
 use crate::query;
 
 /// How many ready connections one loop iteration drains, per pool
@@ -54,12 +54,14 @@ pub const DEFAULT_READ_TIMEOUT_MS: u64 = 5_000;
 const WATCH_POLL_ITERATIONS: u64 = 256;
 
 /// Derived per-epoch read state: the pinned snapshot plus the two
-/// indices queries need (built once per epoch flip, never mutated).
+/// indices queries need (built once per epoch flip, never mutated),
+/// and the `/stats` body, rendered on its first request.
 pub struct ServeState {
     /// The pinned epoch.
     pub snapshot: Arc<EpochSnapshot>,
     index: GeoTagIndex,
-    keys: HashMap<String, usize>,
+    keys: KeyIndex,
+    stats: OnceLock<String>,
 }
 
 impl std::fmt::Debug for ServeState {
@@ -73,16 +75,17 @@ impl std::fmt::Debug for ServeState {
 
 impl ServeState {
     /// Builds the read state for one epoch: the canonical signature
-    /// index ([`query::build_geo_index`]) and the key → position map.
+    /// index ([`query::build_geo_index`]) and the key → position
+    /// index. The `/stats` body is left to its first request, so an
+    /// epoch flip does not pay for a whole-corpus statistics pass.
     pub fn build(snapshot: Arc<EpochSnapshot>, traffic: &GeoDist) -> ServeState {
         let index = query::build_geo_index(&snapshot.table, traffic);
-        let keys = (0..snapshot.clean.len())
-            .map(|pos| (snapshot.clean.key_of(pos).to_owned(), pos))
-            .collect();
+        let keys = KeyIndex::build(&snapshot.clean);
         ServeState {
             snapshot,
             index,
             keys,
+            stats: OnceLock::new(),
         }
     }
 
@@ -101,7 +104,7 @@ impl ServeState {
         let table = &self.snapshot.table;
         let answer = match (head, segments.next()) {
             ("healthz", None) => return (200, "OK", format!("ok epoch {}\n", self.snapshot.epoch)),
-            ("stats", None) => Ok(query::stats_body(clean)),
+            ("stats", None) => Ok(self.stats.get_or_init(|| query::stats_body(clean)).clone()),
             ("report", None) => Ok(query::ingest_report_body(clean, table)),
             ("tag", Some(enc)) => match percent_decode(enc) {
                 Some(name) => query::tag_body(clean, table, traffic.distribution(), &name),
@@ -112,8 +115,8 @@ impl ServeState {
                 None => return bad_encoding(code),
             },
             ("video", Some(enc)) => match percent_decode(enc) {
-                Some(key) => match self.keys.get(&key) {
-                    Some(&pos) => query::video_body(clean, &self.snapshot.recon, pos),
+                Some(key) => match self.keys.get(clean, &key) {
+                    Some(pos) => query::video_body(clean, &self.snapshot.recon, pos),
                     None => Err(query::QueryError::UnknownVideo(key)),
                 },
                 None => return bad_encoding(enc),
@@ -549,6 +552,31 @@ mod tests {
         let (status, _, body) = state.respond(&traffic, "/healthz");
         assert_eq!(status, 200);
         assert_eq!(body, "ok epoch 1\n");
+    }
+
+    #[test]
+    fn stats_body_is_rendered_once_per_epoch_and_never_changes() {
+        let (state, traffic) = state();
+        assert!(
+            state.stats.get().is_none(),
+            "built without rendering /stats"
+        );
+        let first = state.respond(&traffic, "/stats");
+        assert!(state.stats.get().is_some());
+        assert_eq!(state.respond(&traffic, "/stats"), first);
+        assert_eq!(first.2, query::stats_body(&state.snapshot.clean));
+    }
+
+    #[test]
+    fn an_empty_epoch_serves_stats_and_misses_every_video() {
+        let traffic = TrafficModel::reference(world());
+        let state = ServeState::build(snapshot(0, 1), traffic.distribution());
+        assert_eq!(state.respond(&traffic, "/healthz").0, 200);
+        let (status, _, body) = state.respond(&traffic, "/stats");
+        assert_eq!(status, 200);
+        assert_eq!(body, query::stats_body(&state.snapshot.clean));
+        assert_eq!(state.respond(&traffic, "/video/k0").0, 404);
+        assert_eq!(state.respond(&traffic, "/video/").0, 404);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //!   world traffic share (`share_in_country / country_traffic_share`),
 //!   which surfaces the `favela`-like local signature tags.
 
+use core::cmp::Ordering;
+
 use tagdist_dataset::TagId;
-use tagdist_geo::{kernel, top_k_by, CountryId, GeoDist};
+use tagdist_geo::{kernel, CountryId, GeoDist, TopK};
 use tagdist_reconstruct::TagViewTable;
 
 /// One scored tag in a country ranking.
@@ -24,6 +26,16 @@ pub struct ScoredTag {
     /// Over-representation: tag's in-country view share divided by
     /// the country's world traffic share.
     pub lift: f64,
+}
+
+/// The views ranking: most views first, unique-tag tiebreak.
+fn most_views_first(a: &ScoredTag, b: &ScoredTag) -> Ordering {
+    b.views.total_cmp(&a.views).then(a.tag.cmp(&b.tag))
+}
+
+/// The lift ranking: highest lift first, unique-tag tiebreak.
+fn highest_lift_first(a: &ScoredTag, b: &ScoredTag) -> Ordering {
+    b.lift.total_cmp(&a.lift).then(a.tag.cmp(&b.tag))
 }
 
 /// Per-country tag rankings.
@@ -57,22 +69,46 @@ impl GeoTagIndex {
             traffic.len(),
             "traffic and table must cover the same world"
         );
-        let countries = table.country_count();
-        let mut by_views: Vec<Vec<ScoredTag>> = vec![Vec::new(); countries];
-        let mut by_lift: Vec<Vec<ScoredTag>> = vec![Vec::new(); countries];
+        let rows = table
+            .iter()
+            .map(|(tag, views)| (tag, views, table.video_count(tag)));
+        GeoTagIndex::from_rows(rows, traffic, k, min_views, min_videos)
+    }
 
-        for (tag, views) in table.iter() {
+    /// The build over `(tag, per-country views, carrying videos)` rows.
+    ///
+    /// Every positive cell is scored and offered straight to its
+    /// country's two bounded [`TopK`] accumulators, so no per-country
+    /// candidate list is ever materialized. The comparators are total
+    /// orders (`total_cmp` with the unique-tag tiebreak), so the kept
+    /// entries are exactly the first `k` of a full sort, ties included.
+    fn from_rows<'a>(
+        rows: impl Iterator<Item = (TagId, &'a [f64], usize)>,
+        traffic: &GeoDist,
+        k: usize,
+        min_views: f64,
+        min_videos: usize,
+    ) -> GeoTagIndex {
+        let countries = traffic.len();
+        let mut by_views: Vec<_> = (0..countries)
+            .map(|_| TopK::new(k, most_views_first))
+            .collect();
+        let mut by_lift: Vec<_> = (0..countries)
+            .map(|_| TopK::new(k, highest_lift_first))
+            .collect();
+
+        for (tag, views, videos) in rows {
             let total = kernel::sum(views);
             if total <= 0.0 {
                 continue;
             }
+            let lift_ranked = total >= min_views && videos >= min_videos;
             for (index, &v) in views.iter().enumerate() {
                 if v <= 0.0 {
                     continue;
                 }
-                let country = CountryId::from_index(index);
                 let share = v / total;
-                let traffic_share = traffic.prob(country);
+                let traffic_share = traffic.prob(CountryId::from_index(index));
                 let lift = if traffic_share > 0.0 {
                     share / traffic_share
                 } else {
@@ -83,31 +119,17 @@ impl GeoTagIndex {
                     views: v,
                     lift,
                 };
-                by_views[country.index()].push(scored);
-                if total >= min_views && table.video_count(tag) >= min_videos {
-                    by_lift[country.index()].push(scored);
+                by_views[index].offer(scored);
+                if lift_ranked {
+                    by_lift[index].offer(scored);
                 }
             }
         }
 
-        // Selection instead of a full sort: with vocabulary-sized
-        // candidate lists and small k, select_nth + sorting k winners
-        // beats sorting everything. The unique-tag tiebreak makes the
-        // comparators total orders, so the rankings are identical to a
-        // full sort's first k entries (ties included).
-        for list in &mut by_views {
-            let candidates = core::mem::take(list);
-            *list = top_k_by(candidates, k, |a, b| {
-                b.views.total_cmp(&a.views).then(a.tag.cmp(&b.tag))
-            });
+        GeoTagIndex {
+            by_views: by_views.into_iter().map(TopK::into_sorted).collect(),
+            by_lift: by_lift.into_iter().map(TopK::into_sorted).collect(),
         }
-        for list in &mut by_lift {
-            let candidates = core::mem::take(list);
-            *list = top_k_by(candidates, k, |a, b| {
-                b.lift.total_cmp(&a.lift).then(a.tag.cmp(&b.tag))
-            });
-        }
-        GeoTagIndex { by_views, by_lift }
     }
 
     /// Number of countries indexed.
@@ -272,5 +294,150 @@ mod tests {
     fn mismatched_traffic_panics() {
         let (_, table) = setup();
         let _ = GeoTagIndex::build(&table, &GeoDist::uniform(9), 3, 0.0, 0);
+    }
+}
+
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use proptest::prelude::*;
+    use tagdist_geo::{top_k_by, CountryVec};
+
+    /// The candidate-list build the streaming one replaced: every
+    /// scored cell is pushed into a per-country list, then
+    /// [`top_k_by`] keeps `k` of each.
+    fn build_by_candidates<'a>(
+        rows: impl Iterator<Item = (TagId, &'a [f64], usize)>,
+        traffic: &GeoDist,
+        k: usize,
+        min_views: f64,
+        min_videos: usize,
+    ) -> GeoTagIndex {
+        let countries = traffic.len();
+        let mut by_views: Vec<Vec<ScoredTag>> = vec![Vec::new(); countries];
+        let mut by_lift: Vec<Vec<ScoredTag>> = vec![Vec::new(); countries];
+
+        for (tag, views, videos) in rows {
+            let total = kernel::sum(views);
+            if total <= 0.0 {
+                continue;
+            }
+            for (index, &v) in views.iter().enumerate() {
+                if v <= 0.0 {
+                    continue;
+                }
+                let country = CountryId::from_index(index);
+                let share = v / total;
+                let traffic_share = traffic.prob(country);
+                let lift = if traffic_share > 0.0 {
+                    share / traffic_share
+                } else {
+                    0.0
+                };
+                let scored = ScoredTag {
+                    tag,
+                    views: v,
+                    lift,
+                };
+                by_views[country.index()].push(scored);
+                if total >= min_views && videos >= min_videos {
+                    by_lift[country.index()].push(scored);
+                }
+            }
+        }
+
+        for list in &mut by_views {
+            let candidates = core::mem::take(list);
+            *list = top_k_by(candidates, k, |a, b| {
+                b.views.total_cmp(&a.views).then(a.tag.cmp(&b.tag))
+            });
+        }
+        for list in &mut by_lift {
+            let candidates = core::mem::take(list);
+            *list = top_k_by(candidates, k, |a, b| {
+                b.lift.total_cmp(&a.lift).then(a.tag.cmp(&b.tag))
+            });
+        }
+        GeoTagIndex { by_views, by_lift }
+    }
+
+    const COUNTRIES: usize = 5;
+
+    /// Builds both indices over the same rows and compares every
+    /// ranking bit for bit (`ScoredTag`'s float fields compare with
+    /// `==`, so also check the bit patterns).
+    fn assert_same(
+        rows: &[(TagId, Vec<f64>, usize)],
+        traffic: &GeoDist,
+        k: usize,
+        min_views: f64,
+        min_videos: usize,
+    ) -> Result<(), TestCaseError> {
+        let iter = || rows.iter().map(|(t, v, n)| (*t, v.as_slice(), *n));
+        let fast = GeoTagIndex::from_rows(iter(), traffic, k, min_views, min_videos);
+        let slow = build_by_candidates(iter(), traffic, k, min_views, min_videos);
+        prop_assert_eq!(fast.country_count(), slow.country_count());
+        let bits = |list: &[ScoredTag]| -> Vec<(TagId, u64, u64)> {
+            list.iter()
+                .map(|s| (s.tag, s.views.to_bits(), s.lift.to_bits()))
+                .collect()
+        };
+        for c in 0..fast.country_count() {
+            let c = CountryId::from_index(c);
+            let (got, want) = (bits(fast.top_by_views(c)), bits(slow.top_by_views(c)));
+            prop_assert!(got == want, "views ranking, k={k}: {got:?} != {want:?}");
+            let (got, want) = (bits(fast.top_by_lift(c)), bits(slow.top_by_lift(c)));
+            prop_assert!(got == want, "lift ranking, k={k}: {got:?} != {want:?}");
+            prop_assert!(fast.top_by_views(c).len() <= k);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Cells are drawn from a handful of multiples of 50 —
+        /// including zero and negative ones — so equal views, equal
+        /// lifts and skipped cells are all common; tag ids are sparse
+        /// and offered out of order; some countries carry no traffic.
+        #[test]
+        fn streaming_build_matches_the_candidate_list_oracle(
+            cells in proptest::collection::vec(-2i32..6, 0..(40 * COUNTRIES)),
+            videos in proptest::collection::vec(0usize..5, 40),
+            counts in proptest::collection::vec(0u32..4, COUNTRIES),
+            min_views_step in 0usize..3,
+            min_videos in 0usize..4,
+        ) {
+            let mut counts: Vec<f64> = counts.into_iter().map(f64::from).collect();
+            counts[0] += 1.0;
+            let traffic = GeoDist::from_counts(&CountryVec::from_values(counts)).unwrap();
+            let rows: Vec<(TagId, Vec<f64>, usize)> = cells
+                .chunks_exact(COUNTRIES)
+                .enumerate()
+                .map(|(i, chunk)| {
+                    let tag = TagId::from_index((i * 7919) % 401);
+                    let views = chunk.iter().map(|&c| f64::from(c) * 50.0).collect();
+                    (tag, views, videos[i])
+                })
+                .collect();
+            let min_views = [0.0, 100.0, 250.0][min_views_step];
+            for k in [0, 1, 8, rows.len() + 1] {
+                assert_same(&rows, &traffic, k, min_views, min_videos)?;
+            }
+        }
+    }
+
+    #[test]
+    fn empty_table_and_k_zero_build_empty_rankings() {
+        let traffic = GeoDist::uniform(3);
+        let rows = [(TagId::from_index(0), vec![10.0, 20.0, 30.0], 5)];
+        let iter = || rows.iter().map(|(t, v, n)| (*t, v.as_slice(), *n));
+        let none = GeoTagIndex::from_rows(iter(), &traffic, 0, 0.0, 0);
+        let empty = GeoTagIndex::from_rows(core::iter::empty(), &traffic, 8, 0.0, 0);
+        for index in [none, empty] {
+            assert_eq!(index.country_count(), 3);
+            for c in 0..3 {
+                assert!(index.top_by_views(CountryId::from_index(c)).is_empty());
+                assert!(index.top_by_lift(CountryId::from_index(c)).is_empty());
+            }
+        }
     }
 }
