@@ -17,16 +17,14 @@ use tagdist::crawler::{
     CrawlConfig, CrawlRun, PlatformApi,
 };
 use tagdist::dataset::{
-    binfmt, decode_any, merge, read_any, sample_stratified, sniff, tsv, write_binary, CleanDataset,
-    ColumnarRead, Dataset, DatasetFormat, Mmap,
+    binfmt, decode_any, merge, read_any, sample_stratified, sniff, tsv, write_binary, ColumnarRead,
+    Dataset, DatasetFormat, Mmap,
 };
 use tagdist::geo::GeoDist;
 use tagdist::geo::{world, TrafficModel};
 use tagdist::obs::Recorder;
 use tagdist::par::Pool;
-use tagdist::reconstruct::{
-    EpochSnapshot, IngestEngine, Reconstruction, SnapshotCell, TagViewTable,
-};
+use tagdist::reconstruct::{EpochSnapshot, IngestEngine, SnapshotCell};
 use tagdist::tags::Predictor;
 use tagdist::ytsim::{FaultProfile, FlakyPlatform, Platform, WorldConfig};
 use tagdist::{markdown_report_obs, ReportOptions, Study, StudyConfig};
@@ -174,12 +172,17 @@ fn load(path: &str) -> Result<Dataset, String> {
     read_any(file).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-/// Loads and filters a dataset along the cheapest path its format
-/// allows — delegated to [`query::load_clean`], the same loader the
-/// HTTP server boots from, so the CLI and the socket read identical
-/// state by construction.
-fn load_clean(path: &str) -> Result<CleanDataset, String> {
-    query::load_clean(path)
+/// Cold-builds `path` as epoch 1 under `traffic`: the one build every
+/// offline query, `ingest --cold`, `serve`, `bench-serve` and
+/// `cache` answer from. The loader is [`query::load_clean`], the
+/// same one the server's `--watch` reload uses, so the CLI and the
+/// socket read identical state by construction. Every caller passes the
+/// reference prior: without the generating platform, the CLI is in the
+/// paper's exact situation and must use the Alexa-substitute prior.
+fn cold_epoch(path: &str, traffic: &TrafficModel) -> Result<EpochSnapshot, String> {
+    let clean = query::load_clean(path)?;
+    EpochSnapshot::rebuild(1, clean, traffic.distribution())
+        .map_err(|e| format!("reconstruction failed: {e}"))
 }
 
 fn save(dataset: &Dataset, path: &str) -> Result<(), String> {
@@ -400,14 +403,6 @@ fn crawl_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders a pipeline state as the deterministic ingest report — now
-/// [`query::ingest_report_body`], shared with the server's `/report`
-/// route; this is the artifact the CI incremental-oracle and
-/// serve-oracle lanes `cmp`.
-fn render_ingest_report(clean: &CleanDataset, table: &TagViewTable) -> String {
-    query::ingest_report_body(clean, table)
-}
-
 /// The `crawl --ingest` streaming path: feeds each BFS level's new
 /// videos through an [`IngestEngine`], publishing an epoch snapshot
 /// per batch, then saves the raw dataset exactly as a plain crawl
@@ -491,8 +486,11 @@ fn crawl_ingest<W: Write>(
         writeln!(out, "wrote failure report to {path}").map_err(|e| e.to_string())?;
     }
     if let Some(path) = ingest_report_path {
-        std::fs::write(path, render_ingest_report(&snapshot.clean, &snapshot.table))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(
+            path,
+            query::ingest_report_body(&snapshot.clean, &snapshot.table),
+        )
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
         writeln!(out, "wrote ingest report to {path}").map_err(|e| e.to_string())?;
     }
     writeln!(out, "saved {} records to {out_path}", outcome.dataset.len())
@@ -512,19 +510,18 @@ fn ingest_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     }
     let traffic = TrafficModel::reference(world());
 
+    // Both paths render [`query::ingest_report_body`], the bytes the
+    // server's `/report` route serves and the CI oracle lanes `cmp`.
     let report = if args.flag("cold") {
-        let clean = load_clean(path)?;
-        let recon = Reconstruction::compute(&clean, traffic.distribution())
-            .map_err(|e| format!("reconstruction failed: {e}"))?;
-        let table = TagViewTable::aggregate(&clean, &recon);
+        let epoch = cold_epoch(path, &traffic)?;
         writeln!(
             out,
             "cold rebuild: kept {} of {} crawled",
-            clean.len(),
-            clean.report().crawled
+            epoch.clean.len(),
+            epoch.clean.report().crawled
         )
         .map_err(|e| e.to_string())?;
-        render_ingest_report(&clean, &table)
+        query::ingest_report_body(&epoch.clean, &epoch.table)
     } else {
         let dataset = load(path)?;
         if dataset.country_count() != traffic.distribution().len() {
@@ -572,7 +569,7 @@ fn ingest_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             engine.clean().crawled()
         )
         .map_err(|e| e.to_string())?;
-        render_ingest_report(&snapshot.clean, &snapshot.table)
+        query::ingest_report_body(&snapshot.clean, &snapshot.table)
     };
 
     match out_path {
@@ -586,49 +583,38 @@ fn ingest_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 }
 
 fn stats<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
-    let clean = load_clean(args.positional(0, "dataset file")?)?;
+    let clean = query::load_clean(args.positional(0, "dataset file")?)?;
     write!(out, "{}", query::stats_body(&clean)).map_err(|e| e.to_string())
-}
-
-/// Cold-builds the snapshot parts every offline query command answers
-/// from. Without the generating platform, the CLI is in the paper's
-/// exact situation: it must use the Alexa-substitute reference prior.
-fn query_parts(path: &str) -> Result<(CleanDataset, Reconstruction, TagViewTable), String> {
-    let clean = load_clean(path)?;
-    let traffic = TrafficModel::reference(world());
-    let recon = Reconstruction::compute(&clean, traffic.distribution())
-        .map_err(|e| format!("reconstruction failed: {e}"))?;
-    let table = TagViewTable::aggregate(&clean, &recon);
-    Ok((clean, recon, table))
 }
 
 fn tag<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args.positional(0, "dataset file")?;
     let name = args.positional(1, "tag name")?;
-    let (clean, _, table) = query_parts(path)?;
     let traffic = TrafficModel::reference(world());
-    let body =
-        query::tag_body(&clean, &table, traffic.distribution(), name).map_err(|e| e.to_string())?;
+    let epoch = cold_epoch(path, &traffic)?;
+    let body = query::tag_body(&epoch.clean, &epoch.table, traffic.distribution(), name)
+        .map_err(|e| e.to_string())?;
     write!(out, "{body}").map_err(|e| e.to_string())
 }
 
 fn country<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args.positional(0, "dataset file")?;
     let code = args.positional(1, "country code")?;
-    let (clean, _, table) = query_parts(path)?;
     let traffic = TrafficModel::reference(world());
-    let index = query::build_geo_index(&table, traffic.distribution());
-    let body = query::country_body(&clean, &index, &traffic, code).map_err(|e| e.to_string())?;
+    let epoch = cold_epoch(path, &traffic)?;
+    let index = query::build_geo_index(&epoch.table, traffic.distribution());
+    let body =
+        query::country_body(&epoch.clean, &index, &traffic, code).map_err(|e| e.to_string())?;
     write!(out, "{body}").map_err(|e| e.to_string())
 }
 
 fn video<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args.positional(0, "dataset file")?;
     let key = args.positional(1, "video key")?;
-    let (clean, recon, _) = query_parts(path)?;
-    let pos = query::find_video(&clean, key)
+    let epoch = cold_epoch(path, &TrafficModel::reference(world()))?;
+    let pos = query::find_video(&epoch.clean, key)
         .ok_or_else(|| query::QueryError::UnknownVideo(key.to_owned()).to_string())?;
-    let body = query::video_body(&clean, &recon, pos).map_err(|e| e.to_string())?;
+    let body = query::video_body(&epoch.clean, &epoch.recon, pos).map_err(|e| e.to_string())?;
     write!(out, "{body}").map_err(|e| e.to_string())
 }
 
@@ -638,9 +624,9 @@ fn predict<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
         return Err("predict needs at least one tag".into());
     }
     let names: Vec<&str> = args.positional[1..].iter().map(String::as_str).collect();
-    let (clean, _, table) = query_parts(path)?;
     let traffic = TrafficModel::reference(world());
-    let body = query::predict_body(&clean, &table, traffic.distribution(), &names)
+    let epoch = cold_epoch(path, &traffic)?;
+    let body = query::predict_body(&epoch.clean, &epoch.table, traffic.distribution(), &names)
         .map_err(|e| e.to_string())?;
     write!(out, "{body}").map_err(|e| e.to_string())
 }
@@ -650,12 +636,9 @@ fn predict<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 fn serve_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args.positional(0, "dataset file")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
-    let clean = load_clean(path)?;
     let traffic = TrafficModel::reference(world());
-    let snapshot = EpochSnapshot::rebuild(1, clean, traffic.distribution())
-        .map_err(|e| format!("reconstruction failed: {e}"))?;
     let cell = Arc::new(SnapshotCell::new());
-    cell.store(Arc::new(snapshot));
+    cell.store(Arc::new(cold_epoch(path, &traffic)?));
     let config = ServerConfig {
         read_timeout_ms: args.get_u64("read-timeout-ms", 0)?,
         watch: args.flag("watch").then(|| path.to_owned()),
@@ -678,11 +661,11 @@ fn bench_serve_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let addr = args
         .get("addr")
         .ok_or("bench-serve needs --addr HOST:PORT")?;
-    let clean = load_clean(path)?;
     let traffic = TrafficModel::reference(world());
-    let snapshot = EpochSnapshot::rebuild(1, clean, traffic.distribution())
-        .map_err(|e| format!("reconstruction failed: {e}"))?;
-    let state = ServeState::build(Arc::new(snapshot), traffic.distribution());
+    let state = ServeState::build(
+        Arc::new(cold_epoch(path, &traffic)?),
+        traffic.distribution(),
+    );
     let cfg = LoadConfig {
         addr: addr.to_owned(),
         requests: args.get_u64("requests", 10_000)?,
@@ -744,14 +727,16 @@ fn cache_sweep<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
         })
         .transpose()?
         .unwrap_or(2.0);
-    let clean = load_clean(path)?;
+    let traffic = TrafficModel::reference(world());
+    let EpochSnapshot {
+        clean,
+        recon,
+        table,
+        ..
+    } = cold_epoch(path, &traffic)?;
     if clean.is_empty() {
         return Err("no usable videos after filtering".into());
     }
-    let traffic = TrafficModel::reference(world());
-    let recon = Reconstruction::compute(&clean, traffic.distribution())
-        .map_err(|e| format!("reconstruction failed: {e}"))?;
-    let table = TagViewTable::aggregate(&clean, &recon);
     let predictor = Predictor::new(&table, traffic.distribution());
 
     // Demand is simulated from the reconstructed distributions — the

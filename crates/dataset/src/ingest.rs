@@ -4,7 +4,7 @@
 //! [`CleanIngest`] is the incremental restatement: video batches (new
 //! suffixes of a growing crawl, or whole separate datasets) are applied
 //! as deltas — key-deduplicated, re-interned, filtered — onto the same
-//! [`CleanBuilder`] column state a cold [`filter`](crate::filter::filter)
+//! `CleanBuilder` column state a cold [`filter`](crate::filter::filter)
 //! pass drives, and [`snapshot`](CleanIngest::snapshot) finalizes a
 //! [`CleanDataset`] at any point mid-stream.
 //!
@@ -28,7 +28,7 @@
 //!   vocabulary a cold build carries.
 //! * **columns** — the filter predicate (no tags → `no_tags`, else
 //!   unusable popularity → `bad_popularity`) runs per record in arrival
-//!   order, appending survivors through the same [`CleanBuilder::push`]
+//!   order, appending survivors through the same `CleanBuilder::push`
 //!   the cold path calls; `snapshot` clones the builder and runs the
 //!   identical `finish` (counting-sorted postings included).
 

@@ -2,7 +2,7 @@
 //! matrix and tag aggregates, with epoch-versioned snapshots.
 //!
 //! [`IngestEngine`] sits on top of
-//! [`CleanIngest`](tagdist_dataset::CleanIngest): each applied batch
+//! [`CleanIngest`]: each applied batch
 //! extends the clean columns, reconstructs the new videos' per-country
 //! view rows, and folds them into per-tag aggregate rows — so after N
 //! batches the engine holds exactly the state a cold

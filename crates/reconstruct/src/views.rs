@@ -439,8 +439,63 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use tagdist_dataset::{filter, DatasetBuilder, RawPopularity};
+
+    /// The per-video formula the contiguous matrix replaced, one boxed
+    /// [`CountryVec`] per video: `hadamard` with the prior, `sum`,
+    /// then `scaled` to the video's total. [`Reconstruction::compute`]
+    /// must reproduce it bit for bit.
+    fn oracle_rows(clean: &CleanDataset, traffic: &GeoDist) -> Vec<CountryVec> {
+        clean
+            .iter()
+            .map(|v| {
+                let weighted = v
+                    .popularity
+                    .as_country_vec()
+                    .hadamard(traffic.as_vec())
+                    .unwrap();
+                let mass = weighted.sum();
+                weighted.scaled(v.total_views as f64 / mass)
+            })
+            .collect()
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
 
     proptest! {
+        #[test]
+        fn compute_equals_the_per_video_oracle_at_any_thread_count(
+            countries in 1usize..16,
+            videos in proptest::collection::vec(
+                (0u64..5_000_000_000, proptest::collection::vec(0u8..=61, 16)),
+                0..400,
+            ),
+            weights in proptest::collection::vec(0.001f64..10.0, 16),
+        ) {
+            let mut builder = DatasetBuilder::new(countries);
+            for (i, (views, raw)) in videos.iter().enumerate() {
+                builder.push_video(
+                    &format!("v{i}"),
+                    *views,
+                    &["t"],
+                    RawPopularity::decode(raw[..countries].to_vec(), countries),
+                );
+            }
+            let clean = filter(&builder.build());
+            let traffic = GeoDist::from_counts(
+                &CountryVec::from_values(weights[..countries].to_vec())).unwrap();
+            let want: Vec<Vec<u64>> =
+                oracle_rows(&clean, &traffic).iter().map(|r| bits(r.as_slice())).collect();
+            for threads in [1, 2, 8] {
+                let recon = Reconstruction::compute_with(&Pool::new(threads), &clean, &traffic)
+                    .unwrap();
+                let got: Vec<Vec<u64>> = recon.iter().map(bits).collect();
+                prop_assert_eq!((threads, got), (threads, want.clone()));
+            }
+        }
+
         #[test]
         fn reconstruction_preserves_total_and_support(
             raw in proptest::collection::vec(0u8..=61, 2..40),

@@ -123,7 +123,7 @@ impl LoadReport {
     }
 
     /// The machine summary (`--summary FILE`, uploaded as a CI
-    /// artifact and embedded in `BENCH_PR10.json`).
+    /// artifact).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"requests\": {}, \"failures\": {}, \"identity_failures\": {}, \

@@ -1,7 +1,7 @@
 //! The benchmark regression gate.
 //!
-//! `cargo xtask bench-gate` runs `bench-report --smoke`, extracts the
-//! deterministic-counter subtree (`metrics.deterministic`) from the
+//! `cargo xtask bench-gate` runs `bench-report`, extracts the
+//! deterministic-counter subtree (`metrics.deterministic`) from its
 //! smoke JSON, and compares it against the checked-in
 //! `bench-baseline.json`. The subtree is a pure function of the tiny
 //! corpus — counts of items, rows, cells and (single-threaded)

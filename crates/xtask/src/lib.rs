@@ -12,7 +12,7 @@
 //! reports, and exits nonzero on any unsuppressed finding.
 //!
 //! `cargo xtask bench-gate` compares the deterministic counters of a
-//! `bench-report --smoke` run against the checked-in
+//! `bench-report` run against the checked-in
 //! `bench-baseline.json` — see [`benchgate`].
 #![cfg_attr(
     test,

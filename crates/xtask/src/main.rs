@@ -12,10 +12,10 @@ usage: cargo xtask <command> [options]
 commands:
   check           run the workspace's domain lints and determinism
                   analysis over the library crates (and xtask itself)
-  bench-report    build and run the wall-clock + allocation report
+  bench-report    build and run the deterministic smoke-counter report
                   (tagdist-bench's `bench-report` binary, release
                   profile), then append analyzer cold/warm self-timing
-  bench-gate      run `bench-report --smoke` and fail if its deterministic
+  bench-gate      run `bench-report` and fail if its deterministic
                   counters regress against the checked-in bench-baseline.json
 
 check options:
@@ -28,10 +28,10 @@ check options:
   --quiet         suppress per-violation output
 
 bench-report options:
-  --smoke         tiny corpus, one run per stage (the CI wiring)
-  any extra arguments are forwarded to the benchmark binary
-  (first positional argument = output path, default BENCH_PR10.json,
-  or bench-smoke.json under --smoke)
+  [path]          output path (default: bench-smoke.json)
+
+Timing is measured by the benchmark of record: see BENCHMARK.json
+(`cargo run --release --manifest-path perfbench/Cargo.toml -- --workload <name>`).
 
 bench-gate options:
   --update          rewrite bench-baseline.json from the current measurement
@@ -152,10 +152,16 @@ fn write_report(path: &PathBuf, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-/// Shells out to the release-profile benchmark binary, forwarding any
-/// extra arguments (so `cargo xtask bench-report out.json` works),
+/// Shells out to the release-profile benchmark binary, forwarding the
+/// optional output path (so `cargo xtask bench-report out.json` works),
 /// then appends the analyzer's cold/warm self-timing to the report.
 fn run_bench_report(extra: &[String]) -> Result<bool, String> {
+    if let Some(flag) = extra.iter().find(|a| a.starts_with('-')) {
+        return Err(format!("unknown option `{flag}`"));
+    }
+    if extra.len() > 1 {
+        return Err("bench-report takes at most one output path".to_owned());
+    }
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_owned());
     let status = std::process::Command::new(cargo)
         .args([
@@ -173,20 +179,10 @@ fn run_bench_report(extra: &[String]) -> Result<bool, String> {
     if !status.success() {
         return Ok(false);
     }
-    // The binary's output path: first positional argument, or its
-    // documented defaults.
-    let smoke = extra.iter().any(|a| a == "--smoke");
     let out_path = extra
-        .iter()
-        .find(|a| !a.starts_with("--"))
+        .first()
         .cloned()
-        .unwrap_or_else(|| {
-            if smoke {
-                "bench-smoke.json".to_owned()
-            } else {
-                "BENCH_PR10.json".to_owned()
-            }
-        });
+        .unwrap_or_else(|| "bench-smoke.json".to_owned());
     match append_analyzer_timing(&out_path) {
         Ok(()) => {}
         Err(e) => eprintln!("xtask: skipping analyzer self-timing for {out_path}: {e}"),
@@ -231,7 +227,7 @@ fn append_analyzer_timing(out_path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the smoke benchmark (unless `--input` reuses a report) and
+/// Runs the smoke report (unless `--input` reuses one) and
 /// gates its deterministic counters against `bench-baseline.json`.
 fn run_bench_gate(args: &[String]) -> Result<bool, String> {
     let mut update = false;
@@ -264,8 +260,8 @@ fn run_bench_gate(args: &[String]) -> Result<bool, String> {
         None => {
             let path = root.join("target/bench-smoke.json");
             let shown = path.display().to_string();
-            if !run_bench_report(&["--smoke".to_owned(), shown.clone()])? {
-                return Err(format!("bench-report --smoke {shown} failed"));
+            if !run_bench_report(std::slice::from_ref(&shown))? {
+                return Err(format!("bench-report {shown} failed"));
             }
             path
         }

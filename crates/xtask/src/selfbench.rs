@@ -3,8 +3,8 @@
 //! This is the one xtask module allowed to read the real clock (the
 //! `wall-clock` pass allowlists it by path): `cargo xtask bench-report`
 //! records how long a full analyzer run takes with an empty cache and
-//! how long the warm re-run takes, so BENCH_PR*.json tracks the
-//! incremental speedup alongside the domain benchmarks.
+//! how long the warm re-run takes, and appends both to the smoke
+//! report as its `analyzer_self` object.
 
 use std::fs;
 use std::path::Path;
