@@ -379,10 +379,7 @@ impl ColumnarDataset {
     /// runs. Inverse of [`from_dataset`](Self::from_dataset).
     #[must_use]
     pub fn to_dataset(&self) -> Dataset {
-        let names: Vec<String> = (0..self.tag_count())
-            .map(|t| self.tag_name(t).to_owned())
-            .collect();
-        let tags = TagInterner::from_names(names);
+        let tags = TagInterner::from_names((0..self.tag_count()).map(|t| self.tag_name(t)));
         let videos: Vec<VideoRecord> = (0..self.len())
             .map(|i| VideoRecord {
                 id: VideoId::from_index(i),

@@ -25,6 +25,14 @@
 //! [`iter`](CleanDataset::iter)/[`get`](CleanDataset::get) for code
 //! that wants record-shaped access.
 //!
+//! Every per-video column except the views lives in `Arc` segments of
+//! consecutive positions. [`filter`] and [`filter_columnar`] yield one
+//! segment; the streaming ingest (`crate::ingest`) seals one per
+//! snapshot and shares the earlier ones between snapshots. Accessors
+//! find a position's segment by binary search over the segment starts,
+//! and equality compares row by row, so segment boundaries are
+//! invisible to callers.
+//!
 //! Two entry points build the same structure: [`filter`] from a
 //! record-oriented [`Dataset`], and [`filter_columnar`] straight from
 //! any [`ColumnarRead`] source (an owned
@@ -35,6 +43,7 @@
 //! an invariant the proptest oracle below pins down.
 
 use core::fmt;
+use std::sync::Arc;
 
 use tagdist_geo::PopularityView;
 
@@ -106,26 +115,15 @@ impl fmt::Display for FilterReport {
 
 /// The filtered dataset: the paper's 691,349-video working set,
 /// stored columnar (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CleanDataset {
-    /// Original dataset ids, one per retained video.
-    ids: Vec<VideoId>,
-    /// Byte offsets of each key in `key_pool`; length `kept + 1`.
-    key_offsets: Vec<usize>,
-    key_pool: String,
-    /// Byte offsets of each title in `title_pool`; length `kept + 1`.
-    title_offsets: Vec<usize>,
-    title_pool: String,
+    /// Per-video columns in position order, one segment per seal; none
+    /// is empty. Datasets published from one stream share them.
+    segments: Vec<Arc<Segment>>,
+    /// First position of each segment, ascending.
+    starts: Vec<usize>,
     /// Worldwide view counts, one per retained video.
     views: Vec<u64>,
-    /// CSR spine into `tag_ids`; length `kept + 1`.
-    tag_rows: Vec<usize>,
-    /// Flat per-video tag lists, in position order.
-    tag_ids: Vec<TagId>,
-    /// Fixed-stride intensity block: `kept × country_count` validated
-    /// bytes (every retained vector has exactly `country_count`
-    /// entries — the filter predicate guarantees it).
-    intensities: Vec<u8>,
     tags: TagInterner,
     /// CSR spine into `postings`; length `tags.len() + 1`.
     posting_rows: Vec<usize>,
@@ -139,6 +137,35 @@ pub struct CleanDataset {
     unique_tags: usize,
     /// Computed once at construction.
     total_views: u128,
+}
+
+impl PartialEq for CleanDataset {
+    /// Row by row, whatever the segment boundaries: a streamed dataset
+    /// equals the cold filter of the same corpus.
+    fn eq(&self, other: &CleanDataset) -> bool {
+        // Listed without `..`, so a field added later must be compared.
+        let CleanDataset {
+            segments: _,
+            starts: _,
+            views,
+            tags,
+            posting_rows,
+            postings,
+            country_count,
+            report,
+            unique_tags,
+            total_views,
+        } = self;
+        *views == other.views
+            && *tags == other.tags
+            && *posting_rows == other.posting_rows
+            && *postings == other.postings
+            && *country_count == other.country_count
+            && *report == other.report
+            && *unique_tags == other.unique_tags
+            && *total_views == other.total_views
+            && self.iter().eq(other.iter())
+    }
 }
 
 impl CleanDataset {
@@ -221,7 +248,8 @@ impl CleanDataset {
     ///
     /// Panics if `pos` is out of range.
     pub fn id_of(&self, pos: usize) -> VideoId {
-        self.ids[pos]
+        let (segment, i) = self.locate(pos);
+        segment.ids[i]
     }
 
     /// External platform key of the retained video at `pos`.
@@ -230,7 +258,8 @@ impl CleanDataset {
     ///
     /// Panics if `pos` is out of range.
     pub fn key_of(&self, pos: usize) -> &str {
-        &self.key_pool[self.key_offsets[pos]..self.key_offsets[pos + 1]]
+        let (segment, i) = self.locate(pos);
+        segment.key(i)
     }
 
     /// Display title of the retained video at `pos`.
@@ -239,7 +268,8 @@ impl CleanDataset {
     ///
     /// Panics if `pos` is out of range.
     pub fn title_of(&self, pos: usize) -> &str {
-        &self.title_pool[self.title_offsets[pos]..self.title_offsets[pos + 1]]
+        let (segment, i) = self.locate(pos);
+        segment.title(i)
     }
 
     /// The dense view-count column, one entry per retained video in
@@ -255,7 +285,8 @@ impl CleanDataset {
     ///
     /// Panics if `pos` is out of range.
     pub fn tags_of(&self, pos: usize) -> &[TagId] {
-        &self.tag_ids[self.tag_rows[pos]..self.tag_rows[pos + 1]]
+        let (segment, i) = self.locate(pos);
+        segment.tags(i)
     }
 
     /// Validated intensity bytes of the retained video at `pos`
@@ -265,48 +296,123 @@ impl CleanDataset {
     ///
     /// Panics if `pos` is out of range.
     pub fn intensities_of(&self, pos: usize) -> &[u8] {
-        let cc = self.country_count;
+        let (segment, i) = self.locate(pos);
+        segment.intensities(i, self.country_count)
+    }
+
+    /// The segment holding position `pos` and the index within it.
+    fn locate(&self, pos: usize) -> (&Segment, usize) {
         assert!(pos < self.len(), "position {pos} out of range");
-        &self.intensities[pos * cc..(pos + 1) * cc]
+        let s = segment_of(&self.starts, pos);
+        (&self.segments[s], pos - self.starts[s])
     }
 
     /// Assembles the borrowed row view at `pos` (callers guarantee
     /// `pos < len`).
     fn video(&self, pos: usize) -> CleanVideo<'_> {
+        let (segment, i) = self.locate(pos);
         CleanVideo {
-            id: self.ids[pos],
-            key: self.key_of(pos),
-            title: self.title_of(pos),
+            id: segment.ids[i],
+            key: segment.key(i),
+            title: segment.title(i),
             total_views: self.views[pos],
-            tags: self.tags_of(pos),
-            popularity: PopularityView::from_validated(self.intensities_of(pos)),
+            tags: segment.tags(i),
+            popularity: PopularityView::from_validated(segment.intensities(i, self.country_count)),
         }
+    }
+
+    /// Number of column segments.
+    #[cfg(test)]
+    pub(crate) fn segment_count(&self) -> usize {
+        self.segments.len()
     }
 }
 
-/// Incremental column builder shared by [`filter`] and
-/// [`filter_columnar`], so both paths construct the result through the
-/// exact same sequence of column writes.
+/// Index of the segment holding `pos`, given ascending segment
+/// `starts` that begin at 0 (`pos` must be in range).
+fn segment_of(starts: &[usize], pos: usize) -> usize {
+    starts.partition_point(|&start| start <= pos) - 1
+}
+
+/// A run of consecutive retained videos: every per-video column except
+/// the view counts, with offsets local to the run.
+#[derive(Debug, Clone)]
+struct Segment {
+    /// Original dataset ids.
+    ids: Vec<VideoId>,
+    /// Byte offsets of each key in `key_pool`; length `len + 1`.
+    key_offsets: Vec<usize>,
+    key_pool: String,
+    /// Byte offsets of each title in `title_pool`; length `len + 1`.
+    title_offsets: Vec<usize>,
+    title_pool: String,
+    /// CSR spine into `tag_ids`; length `len + 1`.
+    tag_rows: Vec<usize>,
+    /// Flat per-video tag lists, in position order.
+    tag_ids: Vec<TagId>,
+    /// Fixed-stride intensity block: `len × country_count` validated
+    /// bytes (every retained vector has exactly `country_count`
+    /// entries — the filter predicate guarantees it).
+    intensities: Vec<u8>,
+}
+
+impl Segment {
+    fn new() -> Segment {
+        Segment {
+            ids: Vec::new(),
+            key_offsets: vec![0],
+            key_pool: String::new(),
+            title_offsets: vec![0],
+            title_pool: String::new(),
+            tag_rows: vec![0],
+            tag_ids: Vec::new(),
+            intensities: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn key(&self, i: usize) -> &str {
+        &self.key_pool[self.key_offsets[i]..self.key_offsets[i + 1]]
+    }
+
+    fn title(&self, i: usize) -> &str {
+        &self.title_pool[self.title_offsets[i]..self.title_offsets[i + 1]]
+    }
+
+    fn tags(&self, i: usize) -> &[TagId] {
+        &self.tag_ids[self.tag_rows[i]..self.tag_rows[i + 1]]
+    }
+
+    fn intensities(&self, i: usize, country_count: usize) -> &[u8] {
+        &self.intensities[i * country_count..(i + 1) * country_count]
+    }
+}
+
+/// Incremental column builder shared by [`filter`], [`filter_columnar`]
+/// and the streaming-ingest state (`crate::ingest`), so every path
+/// constructs its result through the exact same sequence of column
+/// writes.
 ///
-/// The streaming-ingest engine (`crate::ingest`) holds one of these
-/// across batches and snapshots it with `clone().finish(..)`, which is
-/// why the struct is `Clone` and crate-visible: a snapshot built that
-/// way runs the identical column-write + counting-sort sequence a cold
-/// [`filter`] of the concatenated corpus would, so the two are equal
-/// field for field.
+/// Pushed videos go to an open segment. [`seal`](CleanBuilder::seal)
+/// freezes it behind an `Arc`, and
+/// [`snapshot`](CleanBuilder::snapshot) assembles a dataset that
+/// shares every sealed segment, so a stream publishing an epoch per
+/// batch copies each video's columns once, not once per epoch. Equality
+/// is row by row, so the result equals a cold [`filter`] of the
+/// concatenated corpus (one segment) field for field.
 #[derive(Debug, Clone)]
 pub(crate) struct CleanBuilder {
     country_count: usize,
     pub(crate) report: FilterReport,
-    ids: Vec<VideoId>,
-    key_offsets: Vec<usize>,
-    key_pool: String,
-    title_offsets: Vec<usize>,
-    title_pool: String,
+    /// Sealed segments and their first positions.
+    sealed: Vec<Arc<Segment>>,
+    starts: Vec<usize>,
+    /// Videos pushed since the last seal.
+    open: Segment,
     pub(crate) views: Vec<u64>,
-    pub(crate) tag_rows: Vec<usize>,
-    pub(crate) tag_ids: Vec<TagId>,
-    pub(crate) intensities: Vec<u8>,
     total_views: u128,
 }
 
@@ -318,15 +424,10 @@ impl CleanBuilder {
                 crawled,
                 ..FilterReport::default()
             },
-            ids: Vec::new(),
-            key_offsets: vec![0],
-            key_pool: String::new(),
-            title_offsets: vec![0],
-            title_pool: String::new(),
+            sealed: Vec::new(),
+            starts: Vec::new(),
+            open: Segment::new(),
             views: Vec::new(),
-            tag_rows: vec![0],
-            tag_ids: Vec::new(),
-            intensities: Vec::new(),
             total_views: 0,
         }
     }
@@ -343,22 +444,92 @@ impl CleanBuilder {
         I: IntoIterator<Item = TagId>,
     {
         debug_assert_eq!(pop.len(), self.country_count);
-        self.ids.push(id);
-        self.key_pool.push_str(key);
-        self.key_offsets.push(self.key_pool.len());
-        self.title_pool.push_str(title);
-        self.title_offsets.push(self.title_pool.len());
+        let open = &mut self.open;
+        open.ids.push(id);
+        open.key_pool.push_str(key);
+        open.key_offsets.push(open.key_pool.len());
+        open.title_pool.push_str(title);
+        open.title_offsets.push(open.title_pool.len());
+        open.tag_ids.extend(tags);
+        open.tag_rows.push(open.tag_ids.len());
+        open.intensities.extend_from_slice(pop);
         self.views.push(views);
-        self.tag_ids.extend(tags);
-        self.tag_rows.push(self.tag_ids.len());
-        self.intensities.extend_from_slice(pop);
         self.total_views += views as u128;
     }
 
+    /// The segment holding position `pos` (sealed or open) and the
+    /// index within it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
+    fn locate(&self, pos: usize) -> (&Segment, usize) {
+        assert!(pos < self.views.len(), "position {pos} out of range");
+        let open_start = self.views.len() - self.open.len();
+        if pos >= open_start {
+            return (&self.open, pos - open_start);
+        }
+        let s = segment_of(&self.starts, pos);
+        (&self.sealed[s], pos - self.starts[s])
+    }
+
+    /// Validated intensity bytes of the video at `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
+    pub(crate) fn intensities_of(&self, pos: usize) -> &[u8] {
+        let (segment, i) = self.locate(pos);
+        segment.intensities(i, self.country_count)
+    }
+
+    /// Interned tags of the video at `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
+    pub(crate) fn tags_of(&self, pos: usize) -> &[TagId] {
+        let (segment, i) = self.locate(pos);
+        segment.tags(i)
+    }
+
+    /// Freezes the open segment, if it holds any video.
+    pub(crate) fn seal(&mut self) {
+        if self.open.len() == 0 {
+            return;
+        }
+        self.starts.push(self.views.len() - self.open.len());
+        let open = std::mem::replace(&mut self.open, Segment::new());
+        self.sealed.push(Arc::new(open));
+    }
+
+    /// Seals, then assembles a dataset that shares every sealed
+    /// segment with this builder; further pushes go to a new segment.
+    pub(crate) fn snapshot(&mut self, tags: TagInterner) -> CleanDataset {
+        self.seal();
+        let (segments, starts, views) =
+            (self.sealed.clone(), self.starts.clone(), self.views.clone());
+        self.assemble(segments, starts, views, tags)
+    }
+
+    /// Seals and assembles the dataset (a cold build: one segment).
     pub(crate) fn finish(mut self, tags: TagInterner) -> CleanDataset {
-        self.report.kept = self.views.len();
+        self.seal();
+        let segments = std::mem::take(&mut self.sealed);
+        let starts = std::mem::take(&mut self.starts);
+        let views = std::mem::take(&mut self.views);
+        self.assemble(segments, starts, views, tags)
+    }
+
+    fn assemble(
+        &self,
+        segments: Vec<Arc<Segment>>,
+        starts: Vec<usize>,
+        views: Vec<u64>,
+        tags: TagInterner,
+    ) -> CleanDataset {
         assert!(
-            u32::try_from(self.views.len()).is_ok(),
+            u32::try_from(views.len()).is_ok(),
             "dataset position overflows the u32 posting space"
         );
 
@@ -368,7 +539,7 @@ impl CleanBuilder {
         // matching the old per-tag `Vec::push` order exactly.
         let tag_count = tags.len();
         let mut counts = vec![0usize; tag_count];
-        for tag in &self.tag_ids {
+        for tag in segments.iter().flat_map(|segment| &segment.tag_ids) {
             counts[tag.index()] += 1;
         }
         let unique_tags = counts.iter().filter(|&&c| c > 0).count();
@@ -377,29 +548,28 @@ impl CleanBuilder {
             posting_rows[t + 1] = posting_rows[t] + c;
         }
         let mut cursor = posting_rows.clone();
-        let mut postings = vec![0u32; self.tag_ids.len()];
-        for pos in 0..self.views.len() {
-            for tag in &self.tag_ids[self.tag_rows[pos]..self.tag_rows[pos + 1]] {
-                postings[cursor[tag.index()]] = pos as u32;
-                cursor[tag.index()] += 1;
+        let mut postings = vec![0u32; posting_rows[tag_count]];
+        for (segment, &start) in segments.iter().zip(&starts) {
+            for i in 0..segment.len() {
+                for tag in segment.tags(i) {
+                    postings[cursor[tag.index()]] = (start + i) as u32;
+                    cursor[tag.index()] += 1;
+                }
             }
         }
 
         CleanDataset {
-            ids: self.ids,
-            key_offsets: self.key_offsets,
-            key_pool: self.key_pool,
-            title_offsets: self.title_offsets,
-            title_pool: self.title_pool,
-            views: self.views,
-            tag_rows: self.tag_rows,
-            tag_ids: self.tag_ids,
-            intensities: self.intensities,
+            segments,
+            starts,
+            report: FilterReport {
+                kept: views.len(),
+                ..self.report
+            },
+            views,
             tags,
             posting_rows,
             postings,
             country_count: self.country_count,
-            report: self.report,
             unique_tags,
             total_views: self.total_views,
         }
@@ -467,10 +637,9 @@ pub fn filter_columnar<C: ColumnarRead>(src: &C) -> CleanDataset {
             pop,
         );
     }
-    let names: Vec<String> = (0..src.tag_count())
-        .map(|t| src.tag_name(t).to_owned())
-        .collect();
-    b.finish(TagInterner::from_names(names))
+    b.finish(TagInterner::from_names(
+        (0..src.tag_count()).map(|t| src.tag_name(t)),
+    ))
 }
 
 #[cfg(test)]
@@ -584,6 +753,94 @@ mod tests {
         let s = clean.report().to_string();
         assert!(s.contains("crawled 7"));
         assert!(s.contains("kept 2"));
+    }
+
+    /// Seven retained videos, each with its own key, title, tags and
+    /// intensities.
+    fn seven() -> CleanDataset {
+        let mut b = DatasetBuilder::new(3);
+        for i in 0..7u8 {
+            let tags = [format!("t{i}"), format!("t{}", i / 2)];
+            let tag_refs: Vec<&str> = tags.iter().map(String::as_str).collect();
+            b.push_video_titled(
+                &format!("v{i}"),
+                &format!("title {i}"),
+                10 * u64::from(i),
+                &tag_refs,
+                RawPopularity::decode(vec![i + 1, 2 * i, 61 - i], 3),
+            );
+        }
+        filter(&b.build())
+    }
+
+    /// `clean` re-pushed through one builder sealed before each of the
+    /// positions in `cuts`, the shape a stream publishing there holds.
+    fn resegmented(clean: &CleanDataset, cuts: &[usize]) -> CleanDataset {
+        let mut b = CleanBuilder::new(clean.country_count(), 0);
+        b.report = clean.report();
+        for (pos, v) in clean.iter().enumerate() {
+            if cuts.contains(&pos) {
+                b.seal();
+            }
+            let (tags, pop) = (v.tags.iter().copied(), v.popularity.as_slice());
+            b.push(v.id, v.key, v.title, v.total_views, tags, pop);
+        }
+        b.finish(clean.tags().clone())
+    }
+
+    #[test]
+    fn lookups_at_segment_boundaries_find_the_right_rows() {
+        let cold = seven();
+        // A repeated cut seals nothing new: no empty segment.
+        let split = resegmented(&cold, &[2, 2, 5]);
+        assert_eq!(split.segment_count(), 3);
+        for pos in [0, 1, 2, 4, 5, 6] {
+            assert_eq!(split.get(pos), cold.get(pos), "row {pos}");
+            assert_eq!(split.id_of(pos), cold.id_of(pos));
+            assert_eq!(split.key_of(pos), format!("v{pos}"));
+            assert_eq!(split.title_of(pos), format!("title {pos}"));
+            assert_eq!(split.tags_of(pos), cold.tags_of(pos));
+            assert_eq!(split.intensities_of(pos), cold.intensities_of(pos));
+        }
+        assert!(split.get(7).is_none());
+        assert_eq!(split, cold);
+        for (tag, _) in cold.tags().iter() {
+            assert_eq!(split.videos_with_tag(tag), cold.videos_with_tag(tag));
+        }
+
+        let empty = filter(&DatasetBuilder::new(3).build());
+        assert_eq!(empty.segment_count(), 0);
+        let resealed = resegmented(&empty, &[0]);
+        assert_eq!(resealed.segment_count(), 0);
+        assert_eq!(resealed, empty);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn lookups_past_the_last_segment_panic() {
+        let _ = resegmented(&seven(), &[3]).key_of(7);
+    }
+
+    #[test]
+    fn equality_sees_one_change_in_a_later_segment() {
+        let cold = seven();
+        let split = resegmented(&cold, &[3]);
+        assert_eq!(split, cold);
+        let mutations: [fn(&mut Segment); 5] = [
+            |s| s.ids[1] = VideoId::from_index(99),
+            |s| s.key_pool.replace_range(0..1, "w"),
+            |s| s.title_pool.replace_range(0..1, "T"),
+            |s| s.tag_ids[0] = TagId::from_index(s.tag_ids[0].index() + 1),
+            |s| s.intensities[4] ^= 1,
+        ];
+        for (i, mutate) in mutations.iter().enumerate() {
+            let mut changed = split.clone();
+            mutate(Arc::make_mut(&mut changed.segments[1]));
+            assert_ne!(changed, cold, "mutation {i}");
+            assert_ne!(cold, changed, "mutation {i}");
+        }
+        // Copy-on-write: the shared original is untouched.
+        assert_eq!(split, cold);
     }
 
     #[test]

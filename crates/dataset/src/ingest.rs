@@ -6,7 +6,10 @@
 //! as deltas — key-deduplicated, re-interned, filtered — onto the same
 //! `CleanBuilder` column state a cold [`filter`](crate::filter::filter)
 //! pass drives, and [`snapshot`](CleanIngest::snapshot) finalizes a
-//! [`CleanDataset`] at any point mid-stream.
+//! [`CleanDataset`] at any point mid-stream. A snapshot seals the
+//! videos kept since the previous one into a new column segment and
+//! shares every earlier segment, so it never copies a video's columns
+//! again.
 //!
 //! # The equivalence argument
 //!
@@ -25,12 +28,15 @@
 //!   reproduces the concatenated dataset's ids (the invariant
 //!   `extend_from` relies on). Tags are interned for every unique
 //!   record — even ones the filter then drops — matching the raw
-//!   vocabulary a cold build carries.
+//!   vocabulary a cold build carries. A per-call memo interns each
+//!   source tag once, at its first sighting, which keeps that order.
 //! * **columns** — the filter predicate (no tags → `no_tags`, else
 //!   unusable popularity → `bad_popularity`) runs per record in arrival
 //!   order, appending survivors through the same `CleanBuilder::push`
-//!   the cold path calls; `snapshot` clones the builder and runs the
-//!   identical `finish` (counting-sorted postings included).
+//!   the cold path calls; `snapshot` seals them and rebuilds the
+//!   postings with the same counting sort over all segments, and
+//!   equality is row by row, so the segment boundaries a stream leaves
+//!   do not matter.
 
 use std::collections::HashSet;
 
@@ -62,6 +68,13 @@ pub struct CleanIngest {
     tags: TagInterner,
     seen: HashSet<String>,
     builder: CleanBuilder,
+    /// Per-call memo, indexed by the batch dataset's [`TagId`]: `None`
+    /// until that tag is first re-interned in the call, then the
+    /// engine's result (itself `None` for a name that normalizes to
+    /// nothing). Every entry is `None` between calls.
+    tag_memo: Vec<Option<Option<TagId>>>,
+    /// The `tag_memo` entries the current call filled, reset at its end.
+    memo_touched: Vec<TagId>,
 }
 
 impl CleanIngest {
@@ -73,6 +86,8 @@ impl CleanIngest {
             tags: TagInterner::new(),
             seen: HashSet::new(),
             builder: CleanBuilder::new(country_count, 0),
+            tag_memo: Vec::new(),
+            memo_touched: Vec::new(),
         }
     }
 
@@ -119,6 +134,11 @@ impl CleanIngest {
             first_kept: self.kept(),
             ..IngestDelta::default()
         };
+        // The memo is keyed by this dataset's tag ids; it grows to the
+        // vocabulary once and is reset entry by entry below.
+        if self.tag_memo.len() < dataset.tags().len() {
+            self.tag_memo.resize(dataset.tags().len(), None);
+        }
         let mut tag_ids = Vec::new();
         for index in from..to {
             let record = dataset.video(VideoId::from_index(index));
@@ -134,14 +154,18 @@ impl CleanIngest {
             self.builder.report.crawled += 1;
             // Re-intern by name so ids match the concatenated corpus'
             // first-seen order; record tag lists are already normalized
-            // and deduplicated, so the mapping is 1:1.
+            // and deduplicated, so the mapping is 1:1. Each source tag
+            // is interned by name once per call, at its first sighting,
+            // so the first-seen order is unchanged.
             tag_ids.clear();
-            tag_ids.extend(
-                record
-                    .tags
-                    .iter()
-                    .filter_map(|&t| self.tags.intern(dataset.tags().name(t))),
-            );
+            for &t in &record.tags {
+                let memo = &mut self.tag_memo[t.index()];
+                let id = *memo.get_or_insert_with(|| {
+                    self.memo_touched.push(t);
+                    self.tags.intern(dataset.tags().name(t))
+                });
+                tag_ids.extend(id);
+            }
             if tag_ids.is_empty() {
                 self.builder.report.no_tags += 1;
                 continue;
@@ -159,6 +183,9 @@ impl CleanIngest {
                 pop.as_slice(),
             );
             delta.kept += 1;
+        }
+        for t in self.memo_touched.drain(..) {
+            self.tag_memo[t.index()] = None;
         }
         delta
     }
@@ -207,9 +234,7 @@ impl CleanIngest {
     ///
     /// Panics if `pos` is out of range.
     pub fn intensities_at(&self, pos: usize) -> &[u8] {
-        assert!(pos < self.kept(), "position {pos} out of range");
-        let cc = self.country_count;
-        &self.builder.intensities[pos * cc..(pos + 1) * cc]
+        self.builder.intensities_of(pos)
     }
 
     /// Interned tags of the retained video at `pos`, in upload order.
@@ -218,18 +243,20 @@ impl CleanIngest {
     ///
     /// Panics if `pos` is out of range.
     pub fn tags_at(&self, pos: usize) -> &[TagId] {
-        &self.builder.tag_ids[self.builder.tag_rows[pos]..self.builder.tag_rows[pos + 1]]
+        self.builder.tags_of(pos)
     }
 
     /// Finalizes the current state into a [`CleanDataset`], leaving the
     /// ingest ready for further batches.
     ///
-    /// The clone-then-finish runs the exact column-write and
-    /// counting-sort sequence of a cold [`filter`](crate::filter::filter)
-    /// over the concatenated corpus, so the snapshot is equal to that
-    /// rebuild field for field.
-    pub fn snapshot(&self) -> CleanDataset {
-        self.builder.clone().finish(self.tags.clone())
+    /// The videos applied since the last snapshot are sealed into a new
+    /// column segment; the snapshot shares every sealed segment with
+    /// earlier snapshots and copies only the view column and the
+    /// interner, then rebuilds the postings with the counting sort a
+    /// cold [`filter`](crate::filter::filter) runs. It is equal to that
+    /// rebuild of the concatenated corpus, row for row.
+    pub fn snapshot(&mut self) -> CleanDataset {
+        self.builder.snapshot(self.tags.clone())
     }
 }
 
@@ -318,6 +345,31 @@ mod tests {
         assert_eq!(mid.kept, 0);
         ingest.apply(&b);
         assert_eq!(ingest.snapshot(), filter(&concat(&[&a, &a, &b])));
+    }
+
+    #[test]
+    fn snapshots_share_sealed_columns() {
+        let a = corpus(40, 0);
+        let b = corpus(40, 7);
+        let mut ingest = CleanIngest::new(3);
+        ingest.apply(&a);
+        let first = ingest.snapshot();
+        ingest.apply(&b);
+        let second = ingest.snapshot();
+        // Row 0 was sealed by the first snapshot; the second borrows
+        // the same bytes instead of a copy.
+        assert!(std::ptr::eq(first.key_of(0), second.key_of(0)));
+        assert!(std::ptr::eq(
+            first.intensities_of(0),
+            second.intensities_of(0)
+        ));
+        assert_eq!(second.segment_count(), 2);
+        // A snapshot with nothing new seals no empty segment.
+        let third = ingest.snapshot();
+        assert_eq!(third.segment_count(), 2);
+        assert_eq!(third, second);
+        assert_eq!(second, filter(&concat(&[&a, &b])));
+        assert_eq!(first, filter(&a));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use core::fmt;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Compact identifier of an interned tag.
 ///
@@ -65,10 +66,14 @@ impl From<TagId> for usize {
 /// assert_eq!(tags.name(pop), "pop");
 /// assert_eq!(tags.len(), 1);
 /// ```
+///
+/// Each name is stored once, as an `Arc<str>` shared by the id → name
+/// list and the name → id map, so cloning an interner (every published
+/// epoch carries one) copies pointers, not strings.
 #[derive(Debug, Clone, Default)]
 pub struct TagInterner {
-    names: Vec<String>,
-    ids: HashMap<String, TagId>,
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, TagId>,
 }
 
 impl PartialEq for TagInterner {
@@ -113,30 +118,32 @@ impl TagInterner {
             return Some(id);
         }
         let normalized = trimmed.to_lowercase();
-        if let Some(&id) = self.ids.get(&normalized) {
+        if let Some(&id) = self.ids.get(normalized.as_str()) {
             return Some(id);
         }
         let id = TagId::from_index(self.names.len());
-        self.names.push(normalized.clone());
-        self.ids.insert(normalized, id);
+        let name: Arc<str> = Arc::from(normalized);
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
         Some(id)
     }
 
     /// Rebuilds an interner from an ordered name list (the binary
     /// format's tag-name pool). Names must already be normalized and
     /// distinct; `id(name)` then maps each back to its dense position.
-    pub(crate) fn from_names(names: Vec<String>) -> TagInterner {
+    pub(crate) fn from_names<'a>(names: impl IntoIterator<Item = &'a str>) -> TagInterner {
+        let names: Vec<Arc<str>> = names.into_iter().map(Arc::from).collect();
         let ids = names
             .iter()
             .enumerate()
-            .map(|(i, n)| (n.clone(), TagId::from_index(i)))
+            .map(|(i, n)| (Arc::clone(n), TagId::from_index(i)))
             .collect();
         TagInterner { names, ids }
     }
 
     /// Looks up a tag without interning it.
     pub fn id(&self, tag: &str) -> Option<TagId> {
-        self.ids.get(&Self::normalize(tag)).copied()
+        self.ids.get(Self::normalize(tag).as_str()).copied()
     }
 
     /// Returns the normalized name of an interned tag.
@@ -153,7 +160,7 @@ impl TagInterner {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (TagId::from_index(i), n.as_str()))
+            .map(|(i, n)| (TagId::from_index(i), &**n))
     }
 
     fn normalize(tag: &str) -> String {
@@ -229,8 +236,7 @@ mod tests {
         for tag in ["pop", "hip hop", "baile funk"] {
             t.intern(tag).unwrap();
         }
-        let names: Vec<String> = t.iter().map(|(_, n)| n.to_owned()).collect();
-        let mut r = TagInterner::from_names(names);
+        let mut r = TagInterner::from_names(t.iter().map(|(_, n)| n));
         assert_eq!(r.len(), t.len());
         for (id, name) in t.iter() {
             assert_eq!(r.id(name), Some(id));

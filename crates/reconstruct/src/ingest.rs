@@ -33,6 +33,12 @@
 //! [`TagViewTable`] expects. Reordering copies f64 values — copies
 //! preserve bits.
 //!
+//! Reconstruction rows go to an open buffer. Publishing moves that
+//! buffer into a new sealed [`Reconstruction`] segment (and the clean
+//! columns into a new clean segment), and the snapshot shares every
+//! earlier segment with the epochs before it, so a publish never
+//! copies a row that an earlier epoch already holds.
+//!
 //! # Epochs and double-buffering
 //!
 //! [`publish`](IngestEngine::publish) finalizes the current state into
@@ -157,8 +163,12 @@ pub struct IngestStats {
 pub struct IngestEngine {
     clean: CleanIngest,
     traffic: GeoDist,
-    /// Flat `kept × countries` reconstruction rows, appended per video.
-    recon: Vec<f64>,
+    /// Rows of every published epoch, one sealed segment per publish
+    /// that added videos; each snapshot shares them.
+    recon: Reconstruction,
+    /// Flat `rows × countries` rows of the videos kept since the last
+    /// publish, sealed into `recon` by the next one.
+    open_rows: Vec<f64>,
     /// Indexed by [`TagId`]: the tag's aggregate slot, or [`NO_SLOT`].
     slot_of: Vec<u32>,
     /// Slot → tag, in first-populated order (NOT `TagId` order — the
@@ -178,8 +188,9 @@ impl IngestEngine {
     pub fn new(traffic: GeoDist) -> IngestEngine {
         IngestEngine {
             clean: CleanIngest::new(traffic.len()),
+            recon: Reconstruction::empty(traffic.len()),
             traffic,
-            recon: Vec::new(),
+            open_rows: Vec::new(),
             slot_of: Vec::new(),
             slot_tags: Vec::new(),
             agg: Vec::new(),
@@ -251,16 +262,16 @@ impl IngestEngine {
         self.slot_of.resize(self.clean.tag_count(), NO_SLOT);
         self.video_counts.resize(self.clean.tag_count(), 0);
         for pos in delta.first_kept..delta.first_kept + delta.kept {
-            // Reconstruct the new video's row, appended to the flat
-            // matrix — per-row arithmetic identical to the cold
+            // Reconstruct the new video's row, appended to the open
+            // rows — per-row arithmetic identical to the cold
             // `Reconstruction::compute`.
-            let row = pos * cc;
-            self.recon.resize(row + cc, 0.0);
+            let row = (pos - self.recon.len()) * cc;
+            self.open_rows.resize(row + cc, 0.0);
             reconstruct_intensities_into(
                 self.clean.intensities_at(pos),
                 self.clean.views_at(pos),
                 &self.traffic,
-                &mut self.recon[row..row + cc],
+                &mut self.open_rows[row..row + cc],
             )?;
             // Fold it into each carried tag's aggregate: positions
             // arrive ascending, so this extends every tag's
@@ -274,7 +285,10 @@ impl IngestEngine {
                     self.agg.resize(self.agg.len() + cc, 0.0);
                 }
                 let slot = self.slot_of[t] as usize * cc;
-                kernel::add_assign(&mut self.agg[slot..slot + cc], &self.recon[row..row + cc]);
+                kernel::add_assign(
+                    &mut self.agg[slot..slot + cc],
+                    &self.open_rows[row..row + cc],
+                );
                 self.video_counts[t] += 1;
                 self.stats.rows_touched += 1;
             }
@@ -290,25 +304,31 @@ impl IngestEngine {
     /// into the engine's [`SnapshotCell`] and returns it.
     ///
     /// The snapshot's `clean`/`recon`/`table` equal a cold
-    /// `filter → compute → aggregate` of the concatenated corpus field
-    /// for field: the clean columns replay the cold column writes, the
-    /// reconstruction matrix is a bit-preserving copy of the appended
-    /// rows, and the aggregate slots are reordered (copied) into the
-    /// [`TagId`]-ordered compact matrix the cold table builds.
+    /// `filter → compute → aggregate` of the concatenated corpus: the
+    /// clean columns replay the cold column writes, the rows kept
+    /// since the last publish move (no copy) into a new sealed
+    /// reconstruction segment, and the aggregate slots are reordered
+    /// (copied) into the [`TagId`]-ordered compact matrix the cold
+    /// table builds. Sealed clean and reconstruction segments are
+    /// shared with every earlier epoch, so a publish copies only the
+    /// view column, the interner's pointers, the postings and the
+    /// aggregates, never an earlier video's columns or row.
     ///
     /// # Errors
     ///
-    /// Never fails in practice — the flat buffers match their declared
-    /// shapes by construction — but matrix assembly is fallible, so the
+    /// Never fails in practice — the open rows match their declared
+    /// shape by construction — but matrix assembly is fallible, so the
     /// signature is honest.
     pub fn publish(&mut self) -> Result<Arc<EpochSnapshot>, GeoError> {
         let cc = self.traffic.len();
         let clean = self.clean.snapshot();
-        let recon = Reconstruction::from_matrix(CountryMatrix::from_flat(
-            self.clean.kept(),
+        let open = CountryMatrix::from_flat(
+            self.clean.kept() - self.recon.len(),
             cc,
-            self.recon.clone(),
-        )?);
+            std::mem::take(&mut self.open_rows),
+        )?;
+        self.recon.push_segment(open);
+        let recon = self.recon.clone();
 
         // Reorder first-populated slots into the TagId-ordered compact
         // spine. `video_counts[t] > 0 ⟺ slot_of[t] != NO_SLOT`, and
@@ -538,6 +558,39 @@ mod tests {
     }
 
     #[test]
+    fn epochs_share_rows_and_columns() {
+        let d = corpus(90);
+        let traffic = traffic3();
+        let mut engine = IngestEngine::new(traffic.clone());
+        engine.apply_range(&d, 0, 40).unwrap();
+        let first = engine.publish().unwrap();
+        engine.apply_range(&d, 40, 90).unwrap();
+        let second = engine.publish().unwrap();
+        // Row 0 was sealed by the first publish; the second epoch
+        // borrows the same memory instead of a copy.
+        let (a, b) = (
+            first.recon.views(0).unwrap(),
+            second.recon.views(0).unwrap(),
+        );
+        assert!(std::ptr::eq(a, b));
+        assert!(std::ptr::eq(first.clean.key_of(0), second.clean.key_of(0)));
+        assert!(std::ptr::eq(
+            first.clean.intensities_of(0),
+            second.clean.intensities_of(0)
+        ));
+        // The last row of the first segment and the first of the next.
+        let cold = cold(&d, &traffic);
+        let boundary = first.recon.len();
+        for pos in [boundary - 1, boundary] {
+            assert_eq!(second.recon.views(pos), cold.recon.views(pos));
+        }
+        // A publish with nothing new adds no empty segment.
+        let third = engine.publish().unwrap();
+        assert_eq!(third.recon.segment_count(), 2);
+        assert_equivalent(&third, &cold);
+    }
+
+    #[test]
     fn filtered_only_batches_publish_cleanly() {
         // A batch whose every record is dropped — tags interned but no
         // carriers ("dangling tag references") — must round-trip
@@ -646,50 +699,68 @@ mod proptests {
         b.build()
     }
 
+    /// Records `[0, to)` of `d` as a dataset of their own (its own
+    /// tag ids, so applying it re-interns by name).
+    fn prefix(d: &Dataset, to: usize) -> Dataset {
+        let mut b = DatasetBuilder::new(3);
+        for i in 0..to {
+            let v = d.video(tagdist_dataset::VideoId::from_index(i));
+            let names: Vec<&str> = v.tags.iter().map(|&t| d.tags().name(t)).collect();
+            b.push_video(&v.key, v.total_views, &names, v.popularity.clone());
+        }
+        b.build()
+    }
+
     proptest! {
         /// The tentpole oracle, randomized: any contiguous batch split
-        /// (including size-1 and all-at-once extremes) and any repeat
-        /// application of already-seen records converges to the same
-        /// snapshot a cold rebuild produces.
+        /// (including size-1 and all-at-once extremes), published after
+        /// every cut, and any repeat application of already-seen
+        /// records converges to the same snapshot a cold rebuild
+        /// produces — and every earlier epoch still equals the cold
+        /// rebuild of its own prefix.
         #[test]
         fn any_batch_split_equals_cold_rebuild(
             specs in proptest::collection::vec(
                 (1u64..1_000_000, 0usize..4, proptest::collection::vec(0u8..=61, 3)),
                 1..30
             ),
-            cut_seed in 0usize..1_000,
+            cut_seeds in proptest::collection::vec(0usize..1_000, 1..5),
             dup_seed in 0usize..2,
         ) {
             let d = build(&specs);
             let traffic = GeoDist::from_slice(&[4.0, 2.0, 1.0]).unwrap();
-            let clean = filter(&d);
-            let cold_recon = Reconstruction::compute(&clean, &traffic).unwrap();
-            let cold_table = TagViewTable::aggregate(&clean, &cold_recon);
-
-            let cut = cut_seed % (d.len() + 1);
-            let mut engine = IngestEngine::new(traffic.clone());
-            // First batch: records [0, cut) as their own dataset.
-            let first = {
-                let mut b = DatasetBuilder::new(3);
-                for i in 0..cut {
-                    let v = d.video(tagdist_dataset::VideoId::from_index(i));
-                    let names: Vec<&str> =
-                        v.tags.iter().map(|&t| d.tags().name(t)).collect();
-                    b.push_video(&v.key, v.total_views, &names, v.popularity.clone());
-                }
-                b.build()
+            let cold = |to: usize| {
+                let clean = filter(&prefix(&d, to));
+                let recon = Reconstruction::compute(&clean, &traffic).unwrap();
+                let table = TagViewTable::aggregate(&clean, &recon);
+                (clean, recon, table)
             };
+            let mut cuts: Vec<usize> = cut_seeds.iter().map(|c| c % (d.len() + 1)).collect();
+            cuts.sort_unstable();
+
+            let mut engine = IngestEngine::new(traffic.clone());
+            // First batch: records [0, cuts[0]) as their own dataset.
+            let first = prefix(&d, cuts[0]);
             engine.apply(&first).unwrap();
             if dup_seed == 1 {
                 engine.apply(&first).unwrap();
             }
-            // Second batch: the whole dataset — [0, cut) dedupes away.
+            let mut epochs = vec![(cuts[0], engine.publish().unwrap())];
+            // Later cuts as ranges of `d` itself, one publish each.
+            for pair in cuts.windows(2) {
+                engine.apply_range(&d, pair[0], pair[1]).unwrap();
+                epochs.push((pair[1], engine.publish().unwrap()));
+            }
+            // Last batch: the whole dataset — everything seen dedupes.
             engine.apply(&d).unwrap();
-            let snapshot = engine.publish().unwrap();
+            epochs.push((d.len(), engine.publish().unwrap()));
 
-            prop_assert_eq!(&snapshot.clean, &clean);
-            prop_assert_eq!(&snapshot.recon, &cold_recon);
-            prop_assert_eq!(&snapshot.table, &cold_table);
+            for (to, snapshot) in &epochs {
+                let (clean, recon, table) = cold(*to);
+                prop_assert_eq!(&snapshot.clean, &clean);
+                prop_assert_eq!(&snapshot.recon, &recon);
+                prop_assert_eq!(&snapshot.table, &table);
+            }
         }
     }
 }

@@ -154,7 +154,6 @@ impl TagViewTable {
         // matrix; each row's addition sequence never depends on
         // scheduling, so the result is bit-identical at any thread
         // count — and to a serial video-order accumulation.
-        let recon_matrix = recon.matrix();
         let mut rows = CountryMatrix::zeros(populated, country_count);
         let _: Vec<()> = pool.par_fill(
             &tag_of_row,
@@ -164,7 +163,7 @@ impl TagViewTable {
                 for (j, &tag) in chunk.iter().enumerate() {
                     let dst = &mut block[j * country_count..(j + 1) * country_count];
                     for &pos in clean.videos_with_tag(tag) {
-                        kernel::add_assign(dst, recon_matrix.row(pos as usize));
+                        kernel::add_assign(dst, recon.row(pos as usize));
                     }
                 }
             },
@@ -430,10 +429,9 @@ pub(crate) mod reference {
     pub fn aggregate(clean: &CleanDataset, recon: &Reconstruction) -> TagShard {
         assert_eq!(clean.len(), recon.len());
         let country_count = recon.country_count();
-        let matrix = recon.matrix();
         let mut shard = TagShard::empty(clean.tags().len());
         for (pos, video) in clean.iter().enumerate() {
-            shard.add_video(video.tags, matrix.row(pos), country_count);
+            shard.add_video(video.tags, recon.row(pos), country_count);
         }
         shard
     }

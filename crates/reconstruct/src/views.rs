@@ -1,5 +1,7 @@
 //! Per-video view reconstruction (inverting Eq. 1 via Eq. 2).
 
+use std::sync::Arc;
+
 use tagdist_geo::{kernel, CountryMatrix, CountryVec, GeoDist, GeoError, PopularityVector};
 
 use tagdist_dataset::CleanDataset;
@@ -86,12 +88,38 @@ pub fn reconstruct_views(
 }
 
 /// Reconstructed per-country views for every video of a
-/// [`CleanDataset`], stored as one contiguous [`CountryMatrix`] (row
-/// `i` ↔ dataset position `i`, the order of [`CleanDataset::iter`])
-/// instead of one heap vector per video.
-#[derive(Debug, Clone, PartialEq)]
+/// [`CleanDataset`] (row `i` ↔ dataset position `i`, the order of
+/// [`CleanDataset::iter`]), stored as contiguous [`CountryMatrix`]
+/// segments instead of one heap vector per video.
+///
+/// A cold [`compute`](Reconstruction::compute) fills one segment. The
+/// streaming-ingest engine seals one segment per published epoch and
+/// every later epoch shares the earlier segments behind their `Arc`s,
+/// so publishing copies no row twice. Equality compares rows, not
+/// segment boundaries: a streamed reconstruction equals the cold one
+/// built from the same corpus.
+#[derive(Debug, Clone)]
 pub struct Reconstruction {
-    matrix: CountryMatrix,
+    /// Row segments in position order; none is empty.
+    segments: Vec<Arc<CountryMatrix>>,
+    /// First position of each segment, ascending.
+    starts: Vec<usize>,
+    len: usize,
+    country_count: usize,
+}
+
+impl PartialEq for Reconstruction {
+    /// Row by row with `f64` `==`, whatever the segment boundaries.
+    fn eq(&self, other: &Reconstruction) -> bool {
+        // Listed without `..`, so a field added later must be compared.
+        let Reconstruction {
+            segments: _,
+            starts: _,
+            len,
+            country_count,
+        } = self;
+        *len == other.len && *country_count == other.country_count && self.iter().eq(other.iter())
+    }
 }
 
 impl Reconstruction {
@@ -173,38 +201,67 @@ impl Reconstruction {
         for result in results {
             result?;
         }
-        Ok(Reconstruction {
-            matrix: CountryMatrix::from_flat(views.len(), cols, data)?,
-        })
+        let mut recon = Reconstruction::empty(cols);
+        recon.push_segment(CountryMatrix::from_flat(views.len(), cols, data)?);
+        Ok(recon)
     }
 
-    /// Wraps an already-computed matrix (the streaming-ingest engine's
-    /// snapshot path, which reconstructs rows one video at a time with
-    /// [`reconstruct_intensities_into`] — the same per-row arithmetic
+    /// A reconstruction of no videos over a world of `country_count`
+    /// countries.
+    pub(crate) fn empty(country_count: usize) -> Reconstruction {
+        Reconstruction {
+            segments: Vec::new(),
+            starts: Vec::new(),
+            len: 0,
+            country_count,
+        }
+    }
+
+    /// Appends `rows` as the next segment (the streaming-ingest
+    /// engine's publish step, whose rows come from the same per-row
+    /// [`reconstruct_intensities_into`] arithmetic
     /// [`compute`](Reconstruction::compute) runs, hence bit-identical).
-    pub(crate) fn from_matrix(matrix: CountryMatrix) -> Reconstruction {
-        Reconstruction { matrix }
+    /// An empty `rows` adds no segment.
+    pub(crate) fn push_segment(&mut self, rows: CountryMatrix) {
+        debug_assert_eq!(rows.cols(), self.country_count);
+        if rows.is_empty() {
+            return;
+        }
+        self.starts.push(self.len);
+        self.len += rows.rows();
+        self.segments.push(Arc::new(rows));
     }
 
     /// Number of reconstructed videos.
     pub fn len(&self) -> usize {
-        self.matrix.rows()
+        self.len
     }
 
     /// Returns `true` if no videos were reconstructed.
     pub fn is_empty(&self) -> bool {
-        self.matrix.is_empty()
+        self.len == 0
     }
 
     /// World size of every row.
     pub fn country_count(&self) -> usize {
-        self.matrix.cols()
+        self.country_count
     }
 
     /// Estimated view vector of the video at dataset position `pos`,
     /// as a borrowed matrix row.
     pub fn views(&self, pos: usize) -> Option<&[f64]> {
-        self.matrix.get_row(pos)
+        (pos < self.len).then(|| self.row(pos))
+    }
+
+    /// Row `pos`, found by binary search over the segment starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
+    pub(crate) fn row(&self, pos: usize) -> &[f64] {
+        assert!(pos < self.len, "row {pos} out of range ({} rows)", self.len);
+        let s = self.starts.partition_point(|&start| start <= pos) - 1;
+        self.segments[s].row(pos - self.starts[s])
     }
 
     /// Estimated view *distribution* of the video at position `pos`.
@@ -216,26 +273,30 @@ impl Reconstruction {
     /// [`compute`](Reconstruction::compute), whose mass is positive by
     /// construction).
     pub fn distribution(&self, pos: usize) -> Result<GeoDist, GeoError> {
-        let row = self.matrix.get_row(pos).ok_or(GeoError::ZeroMass)?;
+        let row = self.views(pos).ok_or(GeoError::ZeroMass)?;
         GeoDist::from_slice(row)
     }
 
     /// Iterates over the estimated view vectors in dataset order.
     pub fn iter(&self) -> impl Iterator<Item = &[f64]> + '_ {
-        self.matrix.iter_rows()
-    }
-
-    /// The whole reconstruction as a contiguous matrix (the input the
-    /// parallel aggregation and evaluation stages read rows from).
-    pub fn matrix(&self) -> &CountryMatrix {
-        &self.matrix
+        self.segments.iter().flat_map(|segment| segment.iter_rows())
     }
 
     /// Sums all rows: the estimated per-country platform traffic
     /// implied by the reconstruction (an internal consistency check
-    /// against the prior).
+    /// against the prior). Accumulated in row order.
     pub fn implied_traffic(&self) -> CountryVec {
-        self.matrix.column_sums()
+        let mut out = vec![0.0; self.country_count];
+        for row in self.iter() {
+            kernel::add_assign(&mut out, row);
+        }
+        CountryVec::from_values(out)
+    }
+
+    /// Number of row segments.
+    #[cfg(test)]
+    pub(crate) fn segment_count(&self) -> usize {
+        self.segments.len()
     }
 }
 
@@ -367,7 +428,74 @@ mod tests {
         assert_close(r.views(1).unwrap(), &[0.0, 100.0]);
         assert!(r.views(2).is_none());
         assert_eq!(r.iter().count(), 2);
-        assert_eq!(r.matrix().rows(), 2);
+        assert_eq!(r.segment_count(), 1);
+    }
+
+    /// Seven videos over two countries, reconstructed cold.
+    fn clean7() -> (CleanDataset, Reconstruction) {
+        let mut b = DatasetBuilder::new(2);
+        for i in 0..7u8 {
+            let raw = vec![i + 1, 61 - i];
+            b.push_video(&format!("v{i}"), 100 + u64::from(i), &["t"], {
+                RawPopularity::decode(raw, 2)
+            });
+        }
+        let clean = filter(&b.build());
+        let recon = Reconstruction::compute(&clean, &traffic2()).unwrap();
+        (clean, recon)
+    }
+
+    /// `whole` re-cut into one segment per span between `cuts`, the
+    /// shape a stream publishing at those positions holds.
+    fn resegmented(whole: &Reconstruction, cuts: &[usize]) -> Reconstruction {
+        let cols = whole.country_count();
+        let mut r = Reconstruction::empty(cols);
+        let mut from = 0;
+        for &to in cuts.iter().chain([whole.len()].iter()) {
+            let data = whole
+                .iter()
+                .skip(from)
+                .take(to - from)
+                .flatten()
+                .copied()
+                .collect();
+            r.push_segment(CountryMatrix::from_flat(to - from, cols, data).unwrap());
+            from = to;
+        }
+        r
+    }
+
+    #[test]
+    fn lookups_at_segment_boundaries_find_the_right_rows() {
+        let (_, whole) = clean7();
+        // The repeated cut is a publish with nothing new: no segment.
+        let r = resegmented(&whole, &[2, 2, 5]);
+        assert_eq!(r.segment_count(), 3);
+        assert_eq!(r.len(), 7);
+        for pos in [0, 1, 2, 4, 5, 6] {
+            assert_eq!(r.views(pos), whole.views(pos), "row {pos}");
+        }
+        assert!(r.views(7).is_none());
+        assert_eq!(r, whole);
+        assert!(r.iter().eq(whole.iter()));
+        assert_eq!(r.implied_traffic(), whole.implied_traffic());
+
+        let mut empty = Reconstruction::empty(2);
+        empty.push_segment(CountryMatrix::zeros(0, 2));
+        assert_eq!(empty.segment_count(), 0);
+        assert!(empty.views(0).is_none());
+        assert_eq!(empty, resegmented(&empty, &[0, 0]));
+    }
+
+    #[test]
+    fn equality_sees_one_changed_bit_in_a_later_segment() {
+        let (_, whole) = clean7();
+        let mut r = resegmented(&whole, &[3]);
+        assert_eq!(r, whole);
+        let cell = &mut Arc::make_mut(&mut r.segments[1]).row_mut(1)[1];
+        *cell = f64::from_bits(cell.to_bits() ^ 1);
+        assert_ne!(r, whole);
+        assert_ne!(whole, r);
     }
 
     #[test]
@@ -386,9 +514,9 @@ mod tests {
         for threads in [2, 8] {
             let parallel =
                 Reconstruction::compute_with(&Pool::new(threads), &clean, &traffic2()).unwrap();
-            assert_eq!(reference.matrix(), parallel.matrix());
+            assert_eq!(reference, parallel);
         }
-        assert_eq!(reference.matrix().rows(), reference.len());
+        assert_eq!(reference.iter().count(), reference.len());
     }
 
     #[test]
