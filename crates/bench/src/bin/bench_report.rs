@@ -17,7 +17,7 @@
 //! overrides the output path. Invoke as `cargo xtask bench-report` or
 //! directly: `cargo run --release -p tagdist-bench --bin bench-report`.
 //! Timing lives in the benchmark of record (`perfbench/`, see
-//! `BENCHMARK.json`) and the criterion benches, not here.
+//! `BENCHMARK.json`), not here.
 
 #![allow(
     unsafe_code,

@@ -18,15 +18,7 @@ pub struct Args {
 }
 
 /// Options whose presence alone is meaningful (no value follows).
-const BARE_FLAGS: &[&str] = &[
-    "cold",
-    "full",
-    "help",
-    "ingest",
-    "smoke",
-    "watch",
-    "with-caching",
-];
+const BARE_FLAGS: &[&str] = &["cold", "full", "help", "ingest", "smoke", "watch"];
 
 impl Args {
     /// Parses an iterator of arguments (excluding the program name).

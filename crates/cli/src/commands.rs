@@ -27,7 +27,7 @@ use tagdist::par::Pool;
 use tagdist::reconstruct::{EpochSnapshot, IngestEngine, SnapshotCell};
 use tagdist::tags::Predictor;
 use tagdist::ytsim::{FaultProfile, FlakyPlatform, Platform, WorldConfig};
-use tagdist::{markdown_report_obs, ReportOptions, Study, StudyConfig};
+use tagdist::{markdown_report_obs, Study, StudyConfig};
 use tagdist_serve::loadgen::{self, LoadConfig};
 use tagdist_serve::query;
 use tagdist_serve::server::{ServeState, Server, ServerConfig};
@@ -81,12 +81,13 @@ USAGE:
   tagdist cache FILE [--requests N] [--capacity-pct P]
       Proactive-caching sweep over a saved dataset (tag-predictive vs
       geo-blind vs random placements).
-  tagdist report [--videos N] [--seed S] [--with-caching] --out FILE
+  tagdist report [--videos N] [--seed S] --out FILE
                  [--metrics FILE] [--fault PROFILE] [--fault-seed S]
-      Run the full study pipeline and write a markdown report. With
-      --metrics, record per-stage spans and counters, save them as
-      JSON, print the summary table, and force the caching sweep on so
-      every subsystem is covered.
+      Run the full study on the default world (120,000 videos, seed
+      2011) and write the markdown report of every experiment, E1-E7e.
+      Without world flags the output is the block EXPERIMENTS.md
+      carries verbatim. With --metrics, record per-stage spans and
+      counters, save them as JSON and print the summary table.
   tagdist recrawl FILE [--videos N] [--seed S] --out FILE
       Incrementally extend a saved crawl against a (grown) platform
       regenerated from the same seed; only new videos are fetched.
@@ -777,7 +778,7 @@ fn cache_sweep<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 fn report<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let out_path = args.get("out").ok_or("report needs --out FILE")?;
     let metrics_path = args.get("metrics");
-    let mut config = StudyConfig::small();
+    let mut config = StudyConfig::default();
     config
         .world
         .with_videos(args.get_usize("videos", config.world.videos)?);
@@ -791,13 +792,7 @@ fn report<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
         Recorder::disabled()
     };
     let study = Study::try_run_with(config, &obs).map_err(|e| format!("study failed: {e}"))?;
-    let options = ReportOptions {
-        // The metrics tree should cover every subsystem, so a metrics
-        // run always includes the cache simulation.
-        with_caching: args.flag("with-caching") || metrics_path.is_some(),
-        ..ReportOptions::default()
-    };
-    let markdown = markdown_report_obs(&study, &options, &obs);
+    let markdown = markdown_report_obs(&study, &obs);
     std::fs::write(out_path, &markdown).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     writeln!(out, "wrote {} bytes to {out_path}", markdown.len()).map_err(|e| e.to_string())?;
     if let Some(metrics_path) = metrics_path {
@@ -1051,7 +1046,7 @@ mod tests {
         assert!(metrics.counters.contains_key("cache.requests"));
         assert!(metrics.counters.contains_key("crawl.fetched"));
         assert!(metrics.counters.contains_key("par.calls"));
-        // A metrics run forces the caching sweep on.
+        // Every report renders the caching sections.
         let markdown = std::fs::read_to_string(&report_path).unwrap();
         assert!(markdown.contains("## E7"));
         std::fs::remove_file(&report_path).ok();

@@ -47,6 +47,7 @@
     )
 )]
 
+pub mod experiments;
 pub mod paper;
 pub mod render;
 pub mod report;
@@ -55,7 +56,7 @@ pub mod validate;
 
 pub use paper::{PaperComparison, PaperConstants, PAPER};
 pub use render::{render_distribution, render_popularity_map, render_views};
-pub use report::{markdown_report, markdown_report_obs, ReportOptions};
+pub use report::{markdown_report, markdown_report_obs};
 pub use study::{Study, StudyConfig, StudyError};
 pub use validate::{InvariantViolation, Validate};
 

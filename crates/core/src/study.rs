@@ -287,30 +287,8 @@ impl Study {
     /// The paper could not run this check; the synthetic substrate
     /// can. Compares each retained video's reconstructed distribution
     /// with the generator's true one.
-    #[expect(
-        clippy::expect_used,
-        clippy::missing_panics_doc,
-        reason = "every retained video was crawled from this very platform"
-    )]
     pub fn reconstruction_error(&self) -> ErrorReport {
-        let truth: Vec<GeoDist> = self
-            .clean
-            .iter()
-            .map(|v| {
-                self.platform
-                    .ground_truth(v.key)
-                    .expect("crawled videos exist on the platform")
-                    .view_distribution()
-            })
-            .collect();
-        let estimate: Vec<GeoDist> = (0..self.clean.len())
-            .map(|pos| {
-                self.reconstruction
-                    .distribution(pos)
-                    .expect("rows carry mass")
-            })
-            .collect();
-        ErrorReport::compare(&truth, &estimate).expect("aligned by construction")
+        score_reconstruction(&self.true_distributions(), &self.reconstruction)
     }
 
     /// Baseline for E5: how far the traffic prior alone is from each
@@ -318,19 +296,10 @@ impl Study {
     #[expect(
         clippy::expect_used,
         clippy::missing_panics_doc,
-        reason = "every retained video was crawled from this very platform"
+        reason = "the prior covers the same world as the truth"
     )]
     pub fn prior_error(&self) -> ErrorReport {
-        let truth: Vec<GeoDist> = self
-            .clean
-            .iter()
-            .map(|v| {
-                self.platform
-                    .ground_truth(v.key)
-                    .expect("crawled videos exist on the platform")
-                    .view_distribution()
-            })
-            .collect();
+        let truth = self.true_distributions();
         let estimate: Vec<GeoDist> = vec![self.traffic.distribution().clone(); truth.len()];
         ErrorReport::compare(&truth, &estimate).expect("aligned by construction")
     }
@@ -363,20 +332,11 @@ impl Study {
     #[expect(
         clippy::expect_used,
         clippy::missing_panics_doc,
-        reason = "every retained video was crawled from this very platform"
+        reason = "predictions cover the same world as the truth"
     )]
     pub fn prediction_error_vs_truth(&self) -> ErrorReport {
         let predictor = Predictor::new(&self.tag_table, self.traffic.distribution());
-        let truth: Vec<GeoDist> = self
-            .clean
-            .iter()
-            .map(|v| {
-                self.platform
-                    .ground_truth(v.key)
-                    .expect("crawled videos exist on the platform")
-                    .view_distribution()
-            })
-            .collect();
+        let truth = self.true_distributions();
         // Chunked over the pool with a per-chunk scratch buffer; order
         // and values match the serial map at any thread count.
         let estimate: Vec<GeoDist> = tagdist_par::Pool::from_env()
@@ -453,6 +413,19 @@ impl Study {
     pub fn world(&self) -> &'static tagdist_geo::World {
         world()
     }
+}
+
+/// Scores a reconstruction's rows against the aligned true
+/// distributions.
+#[expect(
+    clippy::expect_used,
+    reason = "reconstructed rows carry mass and align with the truth by construction"
+)]
+pub(crate) fn score_reconstruction(truth: &[GeoDist], recon: &Reconstruction) -> ErrorReport {
+    let estimate: Vec<GeoDist> = (0..recon.len())
+        .map(|pos| recon.distribution(pos).expect("rows carry mass"))
+        .collect();
+    ErrorReport::compare(truth, &estimate).expect("aligned by construction")
 }
 
 #[cfg(test)]

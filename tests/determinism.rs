@@ -16,7 +16,7 @@ use tagdist::geo::TrafficModel;
 use tagdist::obs::Recorder;
 use tagdist::par::{Pool, THREADS_ENV};
 use tagdist::ytsim::{Platform, PlatformApi, WorldConfig};
-use tagdist::{markdown_report, markdown_report_obs, ReportOptions, Study, StudyConfig};
+use tagdist::{markdown_report, markdown_report_obs, Study, StudyConfig};
 
 fn tiny(seed: u64) -> WorldConfig {
     let mut cfg = WorldConfig::tiny();
@@ -97,19 +97,19 @@ fn whole_studies_are_reproducible() {
 }
 
 /// The PR 2 worker-pool contract on the full pipeline: the rendered
-/// Study report — every figure, error table and prediction row — is
-/// byte-identical whether the pool runs 1, 2 or 8 threads.
+/// Study report — every section, E1 through E7e — is byte-identical
+/// whether the pool runs 1, 2 or 8 threads.
 #[test]
 fn study_report_is_byte_identical_across_thread_counts() {
     let mut cfg = StudyConfig::tiny();
     cfg.world.with_videos(800);
-    let options = ReportOptions::default();
 
     std::env::set_var(THREADS_ENV, "1");
-    let reference = markdown_report(&Study::run(cfg.clone()), &options);
+    let reference = markdown_report(&Study::run(cfg.clone()));
+    assert!(reference.contains("### E7e"), "every section renders");
     for threads in ["2", "8"] {
         std::env::set_var(THREADS_ENV, threads);
-        let report = markdown_report(&Study::run(cfg.clone()), &options);
+        let report = markdown_report(&Study::run(cfg.clone()));
         assert_eq!(report, reference, "report drifted at {threads} threads");
     }
     std::env::remove_var(THREADS_ENV);
@@ -124,18 +124,11 @@ fn study_report_is_byte_identical_across_thread_counts() {
 fn metrics_counters_are_byte_identical_across_thread_counts() {
     let mut cfg = StudyConfig::tiny();
     cfg.world.with_videos(800);
-    let options = ReportOptions {
-        with_caching: true,
-        requests: 5_000,
-        capacities: vec![0.02],
-        ..ReportOptions::default()
-    };
-
     let run = |threads: &str| {
         std::env::set_var(THREADS_ENV, threads);
         let obs = Recorder::new();
         let study = Study::try_run_with(cfg.clone(), &obs).expect("study runs");
-        let _ = markdown_report_obs(&study, &options, &obs);
+        let _ = markdown_report_obs(&study, &obs);
         obs.finish()
     };
 
@@ -153,10 +146,21 @@ fn metrics_counters_are_byte_identical_across_thread_counts() {
         "validate",
         "report",
         "e1_accounting",
+        "e1b_regional",
+        "e2_fig1",
+        "e3_e4_tags",
         "e5_reconstruction_error",
+        "e5b_sensitivity",
+        "e5c_bootstrap",
         "e6_prediction",
         "predict",
+        "e6b_cold_start",
+        "e6c_locality",
         "e7_caching",
+        "e7b_latency",
+        "e7c_byte_budget",
+        "e7d_peak_load",
+        "e7e_tiers",
     ] {
         assert!(names.contains(&stage), "missing span {stage:?}: {names:?}");
     }

@@ -10,7 +10,9 @@
     missing_docs
 )]
 
+use tagdist::experiments::{self, CacheWorkload};
 use tagdist::geo::world;
+use tagdist::obs::SpanGuard;
 use tagdist::tags::{classify, ClassifyThresholds, Locality};
 use tagdist::{Study, StudyConfig};
 
@@ -124,104 +126,118 @@ fn e6_prediction_sits_between_recon_and_prior() {
 }
 
 #[test]
-fn e7_caching_policies_order_as_expected() {
-    use tagdist::cache::{run_static, Placement, RequestStream};
-    use tagdist::geo::GeoDist;
-    use tagdist::tags::Predictor;
-
+fn e5_error_grows_with_prior_noise_and_beats_the_prior() {
     let s = shared();
-    let truth = s.true_distributions();
-    let weights = s.view_weights();
-    let stream = RequestStream::generate(&truth, &weights, 40_000, 99);
-    let countries = world().len();
-    let capacity = (s.clean().len() / 50).max(1);
-
-    let predictor = Predictor::new(s.tag_table(), s.traffic());
-    let predicted: Vec<GeoDist> = s
-        .clean()
-        .iter()
-        .enumerate()
-        .map(|(pos, v)| predictor.predict(v.tags, s.reconstruction().views(pos)))
-        .collect();
-
-    let oracle = run_static(
-        &Placement::predictive("oracle", countries, capacity, &truth, &weights),
-        &stream,
-    );
-    let tags = run_static(
-        &Placement::predictive("tags", countries, capacity, &predicted, &weights),
-        &stream,
-    );
-    let blind = run_static(
-        &Placement::geo_blind(countries, capacity, &weights),
-        &stream,
-    );
-    let random = run_static(
-        &Placement::random(countries, s.clean().len(), capacity, 5),
-        &stream,
-    );
-
-    assert!(oracle.hit_rate() >= tags.hit_rate());
-    assert!(
-        tags.hit_rate() > blind.hit_rate(),
-        "tags {} vs blind {}",
-        tags.hit_rate(),
-        blind.hit_rate()
-    );
-    assert!(blind.hit_rate() > random.hit_rate());
+    let sweep = experiments::prior_noise_sweep(s);
+    assert_eq!(sweep.len(), experiments::PRIOR_NOISE_LEVELS.len());
+    for pair in sweep.windows(2) {
+        let ((low, a), (high, b)) = (&pair[0], &pair[1]);
+        assert!(
+            b.js.mean >= a.js.mean,
+            "error fell from {} at ±{low} to {} at ±{high}",
+            a.js.mean,
+            b.js.mean
+        );
+    }
+    let prior = s.prior_error().js.mean;
+    for (noise, report) in &sweep {
+        assert!(
+            report.js.mean < prior,
+            "±{noise}: reconstruction {} vs prior alone {prior}",
+            report.js.mean
+        );
+    }
 }
 
 #[test]
-fn e7b_diurnal_peak_ordering() {
-    use tagdist::cache::{DiurnalModel, PeakReport, Placement, TimedRequestStream};
+fn e5c_bootstrap_from_a_uniform_start_approaches_the_true_traffic() {
+    let rows = experiments::prior_bootstrap(shared());
+    let uniform = &rows[0];
+    assert!(uniform.start.starts_with("uniform"), "{}", uniform.start);
+    assert!(
+        uniform.tv_after < uniform.tv_before,
+        "TV {} -> {}",
+        uniform.tv_before,
+        uniform.tv_after
+    );
+}
 
-    let s = shared();
-    let truth = s.true_distributions();
-    let weights = s.view_weights();
-    let stream = TimedRequestStream::generate(
-        world(),
-        &DiurnalModel::default_2011(),
-        &truth,
-        &weights,
-        30_000,
-        77,
+/// The caching sections' shared workload on the shared study.
+fn workload() -> &'static CacheWorkload {
+    use std::sync::OnceLock;
+    static WORKLOAD: OnceLock<CacheWorkload> = OnceLock::new();
+    WORKLOAD.get_or_init(|| CacheWorkload::new(shared(), &SpanGuard::disabled()))
+}
+
+#[test]
+fn e7_caching_policies_order_as_expected() {
+    let rows = workload().sweep(&SpanGuard::disabled());
+    assert_eq!(rows.len(), experiments::CAPACITIES.len());
+    // At this scale the smaller capacities hold a handful of videos,
+    // and tag-proactive vs geo-blind is within noise there; the order
+    // below 2 % is checked only by the default-world report.
+    let extension = workload().capacity(experiments::EXTENSION_CAPACITY);
+    for row in rows.iter().filter(|row| row.capacity >= extension) {
+        assert!(row.oracle >= row.tags, "{row:?}");
+        assert!(row.tags > row.geo_blind, "{row:?}");
+        assert!(row.geo_blind > row.random, "{row:?}");
+        assert!(row.lru < row.geo_blind, "{row:?}");
+    }
+}
+
+#[test]
+fn e7b_tags_cut_latency_and_geo_blind_has_no_cooperative_hits() {
+    let [_, tags, blind, _] = workload().latency();
+    assert!(
+        tags.mean_rtt_ms < blind.mean_rtt_ms,
+        "tags {} ms vs geo-blind {} ms",
+        tags.mean_rtt_ms,
+        blind.mean_rtt_ms
     );
-    let countries = world().len();
-    let capacity = (s.clean().len() / 50).max(1);
-    let oracle = PeakReport::analyze(
-        &Placement::predictive("oracle", countries, capacity, &truth, &weights),
-        &stream,
-    );
-    let blind = PeakReport::analyze(
-        &Placement::geo_blind(countries, capacity, &weights),
-        &stream,
-    );
-    assert!(oracle.peak_origin() < blind.peak_origin());
-    assert_eq!(oracle.requests_per_hour.iter().sum::<usize>(), 30_000);
+    assert_eq!(blind.remote_hits, 0, "every site holds the same content");
 }
 
 #[test]
 fn e7c_sized_placement_orders_correctly() {
-    use tagdist::cache::{run_static_sized, RequestStream, SizedPlacement};
+    // The largest budget only: at 1 % the tiny world's two placements
+    // are within noise (the default-world report shows the gap).
+    let budgets = workload().byte_budgets();
+    if let Some((budget, [size_aware, _, blind])) = budgets.last() {
+        assert!(
+            size_aware.hit_rate() > blind.hit_rate(),
+            "budget {budget}: tags {} vs geo-blind {}",
+            size_aware.hit_rate(),
+            blind.hit_rate()
+        );
+        assert!(size_aware.byte_hit_rate() > 0.0 && size_aware.byte_hit_rate() <= 1.0);
+    }
+}
 
-    let s = shared();
-    let truth = s.true_distributions();
-    let weights = s.view_weights();
-    let sizes: Vec<f64> = s
-        .clean()
-        .iter()
-        .map(|v| s.platform().ground_truth(v.key).unwrap().size_bytes())
-        .collect();
-    let stream = RequestStream::generate(&truth, &weights, 30_000, 13);
-    let budget: f64 = sizes.iter().sum::<f64>() * 0.02;
-    let countries = world().len();
-    let oracle =
-        SizedPlacement::predictive_sized("oracle", countries, budget, &truth, &weights, &sizes);
-    let geo_blind = SizedPlacement::greedy("blind", countries, budget, &sizes, |_, v| weights[v]);
-    let or = run_static_sized(&oracle, &stream, &sizes);
-    let br = run_static_sized(&geo_blind, &stream, &sizes);
-    assert!(or.hit_rate() > br.hit_rate());
-    assert!(or.byte_hit_rate() > 0.0 && or.byte_hit_rate() <= 1.0);
+#[test]
+fn e7d_diurnal_peak_ordering() {
+    let w = workload();
+    let [oracle, tags, blind] = w.peak_load();
+    // Relief vs geo-blind: oracle > tag-proactive > 0.
+    assert!(
+        oracle.peak_origin() < tags.peak_origin(),
+        "{oracle:?} vs {tags:?}"
+    );
+    assert!(
+        tags.peak_origin() < blind.peak_origin(),
+        "{tags:?} vs {blind:?}"
+    );
+    assert_eq!(oracle.requests_per_hour.iter().sum::<usize>(), w.requests());
+}
+
+#[test]
+fn e7e_tag_edges_beat_geo_blind_edges() {
+    let [tags, blind] = workload().tiers();
+    assert!(
+        tags.edge_hit_rate() > blind.edge_hit_rate(),
+        "tags {} vs geo-blind {}",
+        tags.edge_hit_rate(),
+        blind.edge_hit_rate()
+    );
 }
 
 #[test]
@@ -251,18 +267,17 @@ fn crawl_stats_are_consistent_with_dataset() {
 #[test]
 fn metrics_recording_does_not_change_outputs() {
     use tagdist::obs::{MetricsReport, Recorder};
-    use tagdist::{markdown_report, markdown_report_obs, ReportOptions};
+    use tagdist::{markdown_report, markdown_report_obs};
 
     let mut cfg = StudyConfig::tiny();
     cfg.world.with_videos(900);
-    let options = ReportOptions::default();
 
     let plain_study = Study::try_run(cfg.clone()).expect("study runs");
-    let plain_report = markdown_report(&plain_study, &options);
+    let plain_report = markdown_report(&plain_study);
 
     let obs = Recorder::new();
     let obs_study = Study::try_run_with(cfg, &obs).expect("study runs");
-    let obs_report = markdown_report_obs(&obs_study, &options, &obs);
+    let obs_report = markdown_report_obs(&obs_study, &obs);
 
     assert_eq!(obs_study.tag_table(), plain_study.tag_table());
     assert_eq!(obs_study.reconstruction(), plain_study.reconstruction());

@@ -21,7 +21,7 @@
 use tagdist::crawler::{crawl_parallel, CrawlConfig, CrawlStats};
 use tagdist::dataset::tsv;
 use tagdist::ytsim::{FaultProfile, FlakyPlatform, Platform, WorldConfig};
-use tagdist::{markdown_report, ReportOptions, Study, StudyConfig};
+use tagdist::{markdown_report, Study, StudyConfig};
 
 fn platform(videos: usize, seed: u64) -> Platform {
     let mut cfg = WorldConfig::tiny();
@@ -119,10 +119,9 @@ fn masked_faults_leave_the_study_report_byte_identical() {
     cfg.fault = FaultProfile::flaky();
     let faulty = Study::run(cfg);
     assert!(faulty.crawl_stats().retries > 0, "faults must be injected");
-    let options = ReportOptions::default();
     assert_eq!(
-        markdown_report(&clean, &options),
-        markdown_report(&faulty, &options),
+        markdown_report(&clean),
+        markdown_report(&faulty),
         "masked faults must not change the report"
     );
 }
