@@ -10,6 +10,7 @@
 use std::collections::HashSet;
 
 use tagdist_geo::{CountryId, GeoDist};
+use tagdist_par::Pool;
 
 use crate::request::RequestStream;
 
@@ -37,9 +38,15 @@ pub struct SizedPlacement {
 
 impl SizedPlacement {
     /// Greedy knapsack placement: each country caches videos in
-    /// descending `score(country, video) / size` density until the
-    /// byte budget is exhausted (videos larger than the remaining
-    /// budget are skipped, letting smaller ones fill the gap).
+    /// descending `score(country, video) / size` density (ties by
+    /// video index) until the byte budget is exhausted (videos larger
+    /// than the remaining budget are skipped, letting smaller ones
+    /// fill the gap).
+    ///
+    /// Countries are ranked independently on the `TAGDIST_THREADS`
+    /// worker pool, so the placement is the same at any thread count.
+    /// A country's scan stops once no remaining video fits the budget
+    /// left.
     ///
     /// # Panics
     ///
@@ -49,37 +56,22 @@ impl SizedPlacement {
         country_count: usize,
         byte_capacity: f64,
         sizes: &[f64],
-        mut score: F,
+        score: F,
     ) -> SizedPlacement
     where
-        F: FnMut(CountryId, usize) -> f64,
+        F: Fn(CountryId, usize) -> f64 + Sync,
     {
         assert!(
             sizes.iter().all(|s| s.is_finite() && *s > 0.0),
             "sizes must be positive"
         );
-        let per_country = (0..country_count)
-            .map(|c| {
-                let country = CountryId::from_index(c);
-                let mut ranked: Vec<usize> = (0..sizes.len()).collect();
-                let densities: Vec<f64> = (0..sizes.len())
-                    .map(|v| score(country, v) / sizes[v])
-                    .collect();
-                ranked.sort_by(|&a, &b| densities[b].total_cmp(&densities[a]).then(a.cmp(&b)));
-                let mut set = HashSet::new();
-                let mut used = 0.0;
-                for v in ranked {
-                    if densities[v] <= 0.0 {
-                        break;
-                    }
-                    if used + sizes[v] <= byte_capacity {
-                        used += sizes[v];
-                        set.insert(v);
-                    }
-                }
-                set
-            })
-            .collect();
+        let countries: Vec<CountryId> = (0..country_count).map(CountryId::from_index).collect();
+        let per_country = Pool::from_env().par_map_heavy(&countries, |_, &country| {
+            let ranked: Vec<(f64, usize)> = (0..sizes.len())
+                .map(|v| (score(country, v) / sizes[v], v))
+                .collect();
+            fill_by_density(ranked, sizes, byte_capacity, FIRST_WINDOW)
+        });
         SizedPlacement {
             name: name.into(),
             per_country,
@@ -137,6 +129,64 @@ impl SizedPlacement {
             .map(|&v| sizes[v])
             .sum()
     }
+}
+
+/// First rank window [`SizedPlacement::greedy`] orders; each later
+/// window doubles.
+const FIRST_WINDOW: usize = 1_024;
+
+/// One country's greedy fill over `(density, video)` pairs: visits them
+/// in descending density, ties by video index, caching each video that
+/// still fits, until the first non-positive density or until no
+/// remaining video fits the budget left.
+///
+/// The index tie-break makes the order total, so the ranking is unique
+/// and it is built only as far as the scan reaches: each window of
+/// ranks, `first_window` long and doubling, is selected from the
+/// unranked rest (`select_nth_unstable_by`), then sorted. A scan
+/// typically stops within a few thousand ranks of a catalogue-wide
+/// list.
+fn fill_by_density(
+    mut ranked: Vec<(f64, usize)>,
+    sizes: &[f64],
+    byte_capacity: f64,
+    first_window: usize,
+) -> HashSet<usize> {
+    let order = |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+    let mut set = HashSet::new();
+    let mut used = 0.0;
+    let n = ranked.len();
+    let (mut start, mut window) = (0, first_window.max(1));
+    while start < n {
+        let end = (start + window).min(n);
+        let rest = &mut ranked[start..];
+        if end < n {
+            rest.select_nth_unstable_by(end - start - 1, order);
+        }
+        let (ranks, unranked) = rest.split_at_mut(end - start);
+        ranks.sort_unstable_by(order);
+        // `rest_min[i]`: the smallest size from rank `start + i` on.
+        let mut rest_min = vec![f64::INFINITY; ranks.len() + 1];
+        rest_min[ranks.len()] = unranked
+            .iter()
+            .map(|&(_, v)| sizes[v])
+            .fold(f64::INFINITY, f64::min);
+        for (i, &(_, v)) in ranks.iter().enumerate().rev() {
+            rest_min[i] = rest_min[i + 1].min(sizes[v]);
+        }
+        for (i, &(density, v)) in ranks.iter().enumerate() {
+            if density <= 0.0 || used + rest_min[i] > byte_capacity {
+                return set;
+            }
+            if used + sizes[v] <= byte_capacity {
+                used += sizes[v];
+                set.insert(v);
+            }
+        }
+        start = end;
+        window *= 2;
+    }
+    set
 }
 
 /// Byte-level outcome of a sized replay.
@@ -354,7 +404,66 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The full-scan greedy: one stable sort of the whole catalogue
+    /// per country, every video visited until the first non-positive
+    /// density.
+    fn full_scan(
+        country_count: usize,
+        byte_capacity: f64,
+        sizes: &[f64],
+        score: impl Fn(CountryId, usize) -> f64,
+    ) -> Vec<HashSet<usize>> {
+        (0..country_count)
+            .map(|c| {
+                let country = CountryId::from_index(c);
+                let densities: Vec<f64> = (0..sizes.len())
+                    .map(|v| score(country, v) / sizes[v])
+                    .collect();
+                let mut ranked: Vec<usize> = (0..sizes.len()).collect();
+                ranked.sort_by(|&a, &b| densities[b].total_cmp(&densities[a]).then(a.cmp(&b)));
+                let mut set = HashSet::new();
+                let mut used = 0.0;
+                for v in ranked {
+                    if densities[v] <= 0.0 {
+                        break;
+                    }
+                    if used + sizes[v] <= byte_capacity {
+                        used += sizes[v];
+                        set.insert(v);
+                    }
+                }
+                set
+            })
+            .collect()
+    }
+
     proptest! {
+        /// The pooled, early-stopping greedy caches exactly what the
+        /// full scan caches, ties and zero scores included.
+        #[test]
+        fn greedy_equals_the_full_scan(
+            sizes in proptest::collection::vec(1u8..20, 1..80),
+            scores in proptest::collection::vec(0u8..6, 240),
+            budget in 0.0f64..120.0
+        ) {
+            let sizes: Vec<f64> = sizes.into_iter().map(f64::from).collect();
+            let score = |c: CountryId, v: usize| f64::from(scores[(c.index() * 80 + v) % 240]);
+            let p = SizedPlacement::greedy("prop", 3, budget, &sizes, score);
+            let want = full_scan(3, budget, &sizes, score);
+            prop_assert_eq!(&p.per_country, &want);
+            // Windows far shorter than the scan: every later window is
+            // selected from the unranked rest.
+            for window in [1, 2, 5] {
+                for (c, set) in want.iter().enumerate() {
+                    let country = CountryId::from_index(c);
+                    let ranked = (0..sizes.len())
+                        .map(|v| (score(country, v) / sizes[v], v))
+                        .collect();
+                    prop_assert_eq!(&fill_by_density(ranked, &sizes, budget, window), set);
+                }
+            }
+        }
+
         /// Greedy placement never exceeds the byte budget, for any
         /// sizes/scores.
         #[test]

@@ -473,6 +473,16 @@ impl CleanBuilder {
         (&self.sealed[s], pos - self.starts[s])
     }
 
+    /// External platform key of the video at `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is out of range.
+    pub(crate) fn key_of(&self, pos: usize) -> &str {
+        let (segment, i) = self.locate(pos);
+        segment.key(i)
+    }
+
     /// Validated intensity bytes of the video at `pos`.
     ///
     /// # Panics

@@ -20,16 +20,23 @@
 //! ingredient replays the cold path exactly:
 //!
 //! * **keys** — the builder's first-crawl-wins rule (duplicate keys
-//!   return the existing record untouched) becomes a `seen` set here:
+//!   return the existing record untouched) becomes a key set here:
 //!   a record whose key was already applied is skipped whole, before
 //!   any interning, exactly where `push_video_titled` returns early.
+//!   The set stores each key once — a kept record's in the clean
+//!   columns, a dropped one's in a pool of its own — and indexes them
+//!   by `fnv1a` hash, confirming every hash match against the stored
+//!   key, so collisions resolve exactly.
 //! * **tags** — the interner assigns dense ids in first-seen order, so
 //!   re-interning each unique record's tag *names* in record order
 //!   reproduces the concatenated dataset's ids (the invariant
 //!   `extend_from` relies on). Tags are interned for every unique
 //!   record — even ones the filter then drops — matching the raw
-//!   vocabulary a cold build carries. A per-call memo interns each
-//!   source tag once, at its first sighting, which keeps that order.
+//!   vocabulary a cold build carries. A memo that lives across calls
+//!   maps each source tag id to the source name it was resolved from
+//!   and the engine id it got, so a stream of batches from one dataset
+//!   interns each name once; interning is idempotent, so skipping a
+//!   repeat keeps the first-seen order.
 //! * **columns** — the filter predicate (no tags → `no_tags`, else
 //!   unusable popularity → `bad_popularity`) runs per record in arrival
 //!   order, appending survivors through the same `CleanBuilder::push`
@@ -38,8 +45,9 @@
 //!   equality is row by row, so the segment boundaries a stream leaves
 //!   do not matter.
 
-use std::collections::HashSet;
+use std::sync::Arc;
 
+use crate::binfmt::fnv1a;
 use crate::dataset::Dataset;
 use crate::filter::{CleanBuilder, CleanDataset, FilterReport};
 use crate::record::VideoId;
@@ -66,15 +74,16 @@ pub struct IngestDelta {
 pub struct CleanIngest {
     country_count: usize,
     tags: TagInterner,
-    seen: HashSet<String>,
+    keys: KeySet,
     builder: CleanBuilder,
-    /// Per-call memo, indexed by the batch dataset's [`TagId`]: `None`
-    /// until that tag is first re-interned in the call, then the
-    /// engine's result (itself `None` for a name that normalizes to
-    /// nothing). Every entry is `None` between calls.
-    tag_memo: Vec<Option<Option<TagId>>>,
-    /// The `tag_memo` entries the current call filled, reset at its end.
-    memo_touched: Vec<TagId>,
+    /// Indexed by a source dataset's [`TagId`]: the source name that
+    /// id was last resolved from and the engine id it got (itself
+    /// `None` for a name that normalizes to nothing). A hit needs
+    /// `Arc::ptr_eq` with the current source's name; the clone held
+    /// here keeps that allocation alive, so its address cannot be
+    /// reused for another name and the check is exact for any sequence
+    /// of source datasets.
+    tag_memo: Vec<Option<(Arc<str>, Option<TagId>)>>,
 }
 
 impl CleanIngest {
@@ -84,10 +93,9 @@ impl CleanIngest {
         CleanIngest {
             country_count,
             tags: TagInterner::new(),
-            seen: HashSet::new(),
+            keys: KeySet::default(),
             builder: CleanBuilder::new(country_count, 0),
             tag_memo: Vec::new(),
-            memo_touched: Vec::new(),
         }
     }
 
@@ -134,19 +142,19 @@ impl CleanIngest {
             first_kept: self.kept(),
             ..IngestDelta::default()
         };
-        // The memo is keyed by this dataset's tag ids; it grows to the
-        // vocabulary once and is reset entry by entry below.
+        // The memo is keyed by source tag ids; it grows to the largest
+        // source vocabulary seen.
         if self.tag_memo.len() < dataset.tags().len() {
             self.tag_memo.resize(dataset.tags().len(), None);
         }
         let mut tag_ids = Vec::new();
         for index in from..to {
             let record = dataset.video(VideoId::from_index(index));
-            if self.seen.contains(&record.key) {
+            let hash = fnv1a(record.key.as_bytes());
+            if self.keys.contains(hash, &record.key, &self.builder) {
                 delta.duplicates += 1;
                 continue;
             }
-            self.seen.insert(record.key.clone());
             delta.unique += 1;
             // The id a DatasetBuilder replay of every batch would have
             // assigned: the next dense unique index.
@@ -154,26 +162,33 @@ impl CleanIngest {
             self.builder.report.crawled += 1;
             // Re-intern by name so ids match the concatenated corpus'
             // first-seen order; record tag lists are already normalized
-            // and deduplicated, so the mapping is 1:1. Each source tag
-            // is interned by name once per call, at its first sighting,
-            // so the first-seen order is unchanged.
+            // and deduplicated, so the mapping is 1:1. A memo hit skips
+            // only a repeat intern, so the first-seen order is unchanged.
             tag_ids.clear();
             for &t in &record.tags {
+                let name = dataset.tags().name_arc(t);
                 let memo = &mut self.tag_memo[t.index()];
-                let id = *memo.get_or_insert_with(|| {
-                    self.memo_touched.push(t);
-                    self.tags.intern(dataset.tags().name(t))
-                });
+                let id = match memo {
+                    Some((seen, id)) if Arc::ptr_eq(seen, name) => *id,
+                    _ => {
+                        let id = self.tags.intern(name);
+                        *memo = Some((Arc::clone(name), id));
+                        id
+                    }
+                };
                 tag_ids.extend(id);
             }
             if tag_ids.is_empty() {
                 self.builder.report.no_tags += 1;
+                self.keys.insert_dropped(hash, &record.key);
                 continue;
             }
             let Some(pop) = record.popularity.usable() else {
                 self.builder.report.bad_popularity += 1;
+                self.keys.insert_dropped(hash, &record.key);
                 continue;
             };
+            self.keys.insert(hash, self.kept());
             self.builder.push(
                 id,
                 &record.key,
@@ -183,9 +198,6 @@ impl CleanIngest {
                 pop.as_slice(),
             );
             delta.kept += 1;
-        }
-        for t in self.memo_touched.drain(..) {
-            self.tag_memo[t.index()] = None;
         }
         delta
     }
@@ -219,13 +231,11 @@ impl CleanIngest {
         self.tags.len()
     }
 
-    /// Total views of the retained video at clean position `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is out of range.
-    pub fn views_at(&self, pos: usize) -> u64 {
-        self.builder.views[pos]
+    /// Total views of every retained video so far, in clean position
+    /// order (the slice a parallel pass over a batch's new videos
+    /// chunks).
+    pub fn views_column(&self) -> &[u64] {
+        &self.builder.views
     }
 
     /// Validated intensity bytes of the retained video at `pos`.
@@ -257,6 +267,117 @@ impl CleanIngest {
     /// rebuild of the concatenated corpus, row for row.
     pub fn snapshot(&mut self) -> CleanDataset {
         self.builder.snapshot(self.tags.clone())
+    }
+}
+
+/// Marks a free [`KeySet`] slot.
+const EMPTY: u32 = u32::MAX;
+
+/// Set in a [`KeySet`] reference to a dropped record's key; clear, the
+/// reference is the kept record's clean position.
+const DROPPED: u32 = 1 << 31;
+
+/// The keys of every unique record applied so far, each stored once.
+///
+/// A kept record's key is read back from the clean columns by
+/// position; a dropped record's key goes to `dropped`, an append-only
+/// pool. The table maps `fnv1a(key)` to those references, open
+/// addressed with linear probing and at most half full, and every hash
+/// match is confirmed against the stored key. Growing moves 16-byte
+/// entries by their stored hash; no key is hashed or copied twice.
+#[derive(Debug, Clone, Default)]
+struct KeySet {
+    /// `(hash, reference)` slots, a power of two of them; the
+    /// reference is [`EMPTY`] in a free slot.
+    slots: Vec<(u64, u32)>,
+    len: usize,
+    /// Keys of dropped records, back to back; `dropped_ends[d]` ends
+    /// the `d`-th.
+    dropped: String,
+    dropped_ends: Vec<usize>,
+}
+
+impl KeySet {
+    /// Returns `true` if `key` (hashing to `hash`) was inserted.
+    fn contains(&self, hash: u64, key: &str, builder: &CleanBuilder) -> bool {
+        if self.slots.is_empty() {
+            return false;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        loop {
+            let (h, r) = self.slots[i];
+            if r == EMPTY {
+                return false;
+            }
+            if h == hash && self.key(r, builder) == key {
+                return true;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Inserts the key of the kept record at clean position `pos`.
+    fn insert(&mut self, hash: u64, pos: usize) {
+        assert!(
+            pos < DROPPED as usize,
+            "clean position {pos} overflows the key set"
+        );
+        self.place(hash, pos as u32);
+    }
+
+    /// Stores a dropped record's key and inserts it.
+    fn insert_dropped(&mut self, hash: u64, key: &str) {
+        let d = self.dropped_ends.len();
+        // `DROPPED | d` must stay clear of `EMPTY`.
+        assert!(
+            d < (EMPTY ^ DROPPED) as usize,
+            "dropped key {d} overflows the key set"
+        );
+        self.dropped.push_str(key);
+        self.dropped_ends.push(self.dropped.len());
+        self.place(hash, DROPPED | d as u32);
+    }
+
+    /// The key `r` refers to.
+    fn key<'a>(&'a self, r: u32, builder: &'a CleanBuilder) -> &'a str {
+        if r & DROPPED == 0 {
+            return builder.key_of(r as usize);
+        }
+        let d = (r & !DROPPED) as usize;
+        let start = d.checked_sub(1).map_or(0, |p| self.dropped_ends[p]);
+        &self.dropped[start..self.dropped_ends[d]]
+    }
+
+    /// The first slot probed for `hash`: its top bits after a
+    /// Fibonacci multiply, so every key byte reaches the index.
+    fn home(&self, hash: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// Files `(hash, r)` in the first free slot, growing first if the
+    /// table would pass half full.
+    fn place(&mut self, hash: u64, r: u32) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = vec![(0, EMPTY); (self.slots.len() * 2).max(16)];
+            for (h, r) in std::mem::replace(&mut self.slots, grown) {
+                if r != EMPTY {
+                    self.file(h, r);
+                }
+            }
+        }
+        self.file(hash, r);
+        self.len += 1;
+    }
+
+    fn file(&mut self, hash: u64, r: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(hash);
+        while self.slots[i].1 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = (hash, r);
     }
 }
 
@@ -392,10 +513,63 @@ mod tests {
         let snap = ingest.snapshot();
         assert_eq!(ingest.tag_count(), snap.tags().len());
         for pos in 0..snap.len() {
-            assert_eq!(ingest.views_at(pos), snap.views_column()[pos]);
+            assert_eq!(ingest.views_column()[pos], snap.views_column()[pos]);
             assert_eq!(ingest.intensities_at(pos), snap.intensities_of(pos));
             assert_eq!(ingest.tags_at(pos), snap.tags_of(pos));
         }
+    }
+
+    /// The memo is keyed by source tag id but checked against the
+    /// source's name: two sources that order the same names
+    /// differently, then one that reuses an id for a new name, must
+    /// each re-intern by name.
+    #[test]
+    fn tag_memo_follows_names_across_sources() {
+        let source = |key: &str, tags: &[&str]| {
+            let mut b = DatasetBuilder::new(3);
+            b.push_video(key, 5, tags, RawPopularity::decode(vec![61, 1, 1], 3));
+            b.build()
+        };
+        let a = source("a", &["rock", "jazz"]);
+        let b = source("b", &["jazz", "rock"]);
+        let c = source("c", &["blues"]);
+        let mut ingest = CleanIngest::new(3);
+        for d in [&a, &b, &c, &a] {
+            ingest.apply(d);
+        }
+        let snap = ingest.snapshot();
+        let names = |pos: usize| -> Vec<&str> {
+            snap.tags_of(pos)
+                .iter()
+                .map(|&t| snap.tags().name(t))
+                .collect()
+        };
+        assert_eq!(names(1), ["jazz", "rock"]);
+        assert_eq!(names(2), ["blues"]);
+        assert_eq!(snap, filter(&concat(&[&a, &b, &c, &a])));
+    }
+
+    #[test]
+    fn key_set_confirms_hash_matches_against_stored_keys() {
+        let mut builder = CleanBuilder::new(1, 0);
+        builder.push(VideoId::from_index(0), "kept", "", 1, [], &[1]);
+        let mut keys = KeySet::default();
+        // Both keys filed under one hash: lookups must compare keys.
+        keys.insert(7, 0);
+        keys.insert_dropped(7, "dropped");
+        assert!(keys.contains(7, "kept", &builder));
+        assert!(keys.contains(7, "dropped", &builder));
+        assert!(!keys.contains(7, "other", &builder));
+        assert!(!keys.contains(8, "kept", &builder));
+        // Growing the table refiles every entry.
+        for i in 0..100 {
+            keys.insert_dropped(i, &format!("k{i}"));
+        }
+        for i in 0..100 {
+            assert!(keys.contains(i, &format!("k{i}"), &builder));
+        }
+        assert!(keys.contains(7, "kept", &builder));
+        assert!(keys.contains(7, "dropped", &builder));
     }
 
     #[test]

@@ -155,6 +155,17 @@ impl TagInterner {
         &self.names[id.index()]
     }
 
+    /// The shared allocation behind [`name`](TagInterner::name): a
+    /// clone of it identifies this exact name for as long as the clone
+    /// lives, so `Arc::ptr_eq` against it is an exact identity check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this interner.
+    pub(crate) fn name_arc(&self, id: TagId) -> &Arc<str> {
+        &self.names[id.index()]
+    }
+
     /// Iterates over `(TagId, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TagId, &str)> {
         self.names

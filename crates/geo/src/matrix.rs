@@ -115,6 +115,12 @@ impl CountryMatrix {
         &self.data
     }
 
+    /// Unwraps the row-major buffer, so a caller that rebuilds a matrix
+    /// of about the same shape can reuse its allocation.
+    pub fn into_flat(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Mutable view of the whole row-major buffer — the entry point
     /// for filling many rows in one parallel pass (e.g.
     /// `Pool::par_fill` with `stride = cols()`).

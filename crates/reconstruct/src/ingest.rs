@@ -1,43 +1,42 @@
 //! Streaming-ingest engine: per-batch deltas to the reconstruction
 //! matrix and tag aggregates, with epoch-versioned snapshots.
 //!
-//! [`IngestEngine`] sits on top of
-//! [`CleanIngest`]: each applied batch
-//! extends the clean columns, reconstructs the new videos' per-country
-//! view rows, and folds them into per-tag aggregate rows — so after N
-//! batches the engine holds exactly the state a cold
+//! [`IngestEngine`] sits on top of [`CleanIngest`]: each applied batch
+//! extends the clean columns and reconstructs the new videos'
+//! per-country view rows; each publish extends the previous epoch's
+//! per-tag aggregate rows by the videos added since. After N batches
+//! the engine holds exactly the state a cold
 //! `filter → compute → aggregate` rebuild of the concatenated corpus
-//! would, bit for bit (the PR 9 rebuild oracle).
+//! would, bit for bit (the rebuild oracle).
 //!
 //! # Why incremental equals cold, bitwise
 //!
 //! * **Reconstruction rows** are per-video pure functions
-//!   ([`reconstruct_intensities_into`]): appending each new video's row
-//!   runs the identical arithmetic [`Reconstruction::compute`] runs for
-//!   that row, independent of every other video.
+//!   ([`reconstruct_intensities_into`]): apply fills each new video's
+//!   row on the worker pool with the identical arithmetic
+//!   [`Reconstruction::compute`] runs for that row, independent of
+//!   every other video and of the chunking.
 //! * **Aggregate rows** are dataset-order f64 sums. The cold
 //!   [`TagViewTable::aggregate`] sums each tag's postings in ascending
-//!   clean-position order; new videos arrive in exactly that order, so
-//!   folding a new row into its tags' aggregates *appends to each
-//!   tag's addition sequence* — float addition is not associative or
-//!   commutative here, but a prefix-extended left fold replays the
-//!   same operation sequence, hence the same bits.
-//! * **Merge order is deterministic by construction**: batches apply
-//!   sequentially, videos within a batch in dataset order, tags within
-//!   a video in record order. No thread count anywhere in the delta
-//!   path can reorder an addition.
-//!
-//! Aggregates live in *first-populated* slot order while streaming
-//! (tags appear as their first carrier arrives); publishing a snapshot
-//! reorders the slot rows into the [`TagId`]-ordered compact matrix
-//! [`TagViewTable`] expects. Reordering copies f64 values — copies
-//! preserve bits.
+//!   clean-position order; new videos take the next positions, so a
+//!   tag's new postings are the tail of its posting list. Publish
+//!   builds each populated row, in `TagId` order, by copying the
+//!   previous epoch's row (copies preserve bits) and adding that tail
+//!   in order: a prefix-extended left fold replays the cold operation
+//!   sequence, hence the same bits, although float addition is neither
+//!   associative nor commutative. It is the cold aggregate's own kernel
+//!   (the cold build is the case with no previous epoch), run on the
+//!   pool; each row's additions never depend on scheduling, so the
+//!   result is the same at any `TAGDIST_THREADS`.
 //!
 //! Reconstruction rows go to an open buffer. Publishing moves that
 //! buffer into a new sealed [`Reconstruction`] segment (and the clean
 //! columns into a new clean segment), and the snapshot shares every
 //! earlier segment with the epochs before it, so a publish never
-//! copies a row that an earlier epoch already holds.
+//! copies a row that an earlier epoch already holds. The aggregate
+//! matrix is written into the buffer of the epoch retired two
+//! publishes earlier when no reader holds that epoch any more, so a
+//! steady stream stops faulting in a fresh matrix per epoch.
 //!
 //! # Epochs and double-buffering
 //!
@@ -48,19 +47,18 @@
 //! for as long as they need a consistent view — the previous epoch
 //! stays alive in their hands while the engine builds and flips the
 //! next one, which is all a double buffer is. No reader ever observes
-//! a half-applied batch.
+//! a half-applied batch, and an epoch's aggregate buffer is recycled
+//! only once `Arc::try_unwrap` proves no reader holds the epoch.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use tagdist_dataset::{CleanDataset, CleanIngest, Dataset, IngestDelta, TagId};
-use tagdist_geo::{kernel, CountryMatrix, GeoDist, GeoError};
+use tagdist_dataset::{CleanDataset, CleanIngest, Dataset, IngestDelta};
+use tagdist_geo::{CountryMatrix, GeoDist, GeoError};
 use tagdist_obs::SpanGuard;
+use tagdist_par::Pool;
 
-use crate::tagviews::{TagViewTable, NO_ROW};
+use crate::tagviews::TagViewTable;
 use crate::views::{reconstruct_intensities_into, Reconstruction};
-
-/// Slot sentinel: the tag has not acquired a carrier yet.
-const NO_SLOT: u32 = u32::MAX;
 
 /// One immutable, internally consistent view of the stream: the clean
 /// dataset, its reconstruction and the per-tag aggregates as of a
@@ -169,15 +167,12 @@ pub struct IngestEngine {
     /// Flat `rows × countries` rows of the videos kept since the last
     /// publish, sealed into `recon` by the next one.
     open_rows: Vec<f64>,
-    /// Indexed by [`TagId`]: the tag's aggregate slot, or [`NO_SLOT`].
-    slot_of: Vec<u32>,
-    /// Slot → tag, in first-populated order (NOT `TagId` order — the
-    /// publish step reorders).
-    slot_tags: Vec<TagId>,
-    /// Flat `slots × countries` aggregate rows.
-    agg: Vec<f64>,
-    /// Indexed by [`TagId`]: retained carriers so far.
-    video_counts: Vec<u32>,
+    /// The last published epoch, whose aggregates the next publish
+    /// extends.
+    latest: Option<Arc<EpochSnapshot>>,
+    /// The epoch published before `latest`: the next publish reuses its
+    /// aggregate buffer if no reader holds it by then.
+    retired: Option<Arc<EpochSnapshot>>,
     stats: IngestStats,
     epoch: u64,
     published: Arc<SnapshotCell>,
@@ -191,10 +186,8 @@ impl IngestEngine {
             recon: Reconstruction::empty(traffic.len()),
             traffic,
             open_rows: Vec::new(),
-            slot_of: Vec::new(),
-            slot_tags: Vec::new(),
-            agg: Vec::new(),
-            video_counts: Vec::new(),
+            latest: None,
+            retired: None,
             stats: IngestStats::default(),
             epoch: 0,
             published: Arc::new(SnapshotCell::new()),
@@ -216,9 +209,9 @@ impl IngestEngine {
     }
 
     /// Applies the records of `dataset` from position `from` onward as
-    /// one batch: filters them into the clean columns, reconstructs
-    /// each new kept video's view row, and folds it into its tags'
-    /// aggregate rows.
+    /// one batch: filters them into the clean columns and reconstructs
+    /// each new kept video's view row. Their tags' aggregates are
+    /// extended by the next [`publish`](IngestEngine::publish).
     ///
     /// # Errors
     ///
@@ -255,44 +248,42 @@ impl IngestEngine {
         to: usize,
     ) -> Result<IngestDelta, GeoError> {
         let delta = self.clean.apply_range(dataset, from, to);
+        let new = delta.first_kept..delta.first_kept + delta.kept;
+        // Reconstruct the new videos' rows into the open buffer on the
+        // pool — per-row arithmetic identical to the cold
+        // `Reconstruction::compute`, so chunking changes no bit.
         let cc = self.traffic.len();
-        // Grow the vocabulary-wide spines to cover tags this batch
-        // interned (carriers or not — matching the cold table's
-        // full-width `row_of`).
-        self.slot_of.resize(self.clean.tag_count(), NO_SLOT);
-        self.video_counts.resize(self.clean.tag_count(), 0);
-        for pos in delta.first_kept..delta.first_kept + delta.kept {
-            // Reconstruct the new video's row, appended to the open
-            // rows — per-row arithmetic identical to the cold
-            // `Reconstruction::compute`.
-            let row = (pos - self.recon.len()) * cc;
-            self.open_rows.resize(row + cc, 0.0);
-            reconstruct_intensities_into(
-                self.clean.intensities_at(pos),
-                self.clean.views_at(pos),
-                &self.traffic,
-                &mut self.open_rows[row..row + cc],
-            )?;
-            // Fold it into each carried tag's aggregate: positions
-            // arrive ascending, so this extends every tag's
-            // dataset-order addition sequence exactly as the cold
-            // aggregation replays it.
-            for &tag in self.clean.tags_at(pos) {
-                let t = tag.index();
-                if self.slot_of[t] == NO_SLOT {
-                    self.slot_of[t] = self.slot_tags.len() as u32;
-                    self.slot_tags.push(tag);
-                    self.agg.resize(self.agg.len() + cc, 0.0);
-                }
-                let slot = self.slot_of[t] as usize * cc;
-                kernel::add_assign(
-                    &mut self.agg[slot..slot + cc],
-                    &self.open_rows[row..row + cc],
-                );
-                self.video_counts[t] += 1;
-                self.stats.rows_touched += 1;
-            }
+        let open = (new.start - self.recon.len()) * cc;
+        if open == 0 {
+            // A fresh zeroed buffer: its pages fault in on the workers.
+            self.open_rows = vec![0.0; delta.kept * cc];
+        } else {
+            self.open_rows.resize(open + delta.kept * cc, 0.0);
         }
+        let (clean, traffic) = (&self.clean, &self.traffic);
+        let results = Pool::from_env().par_fill(
+            &clean.views_column()[new.clone()],
+            &mut self.open_rows[open..],
+            cc,
+            |start, chunk, block| {
+                for (j, &total) in chunk.iter().enumerate() {
+                    reconstruct_intensities_into(
+                        clean.intensities_at(new.start + start + j),
+                        total,
+                        traffic,
+                        &mut block[j * cc..(j + 1) * cc],
+                    )?;
+                }
+                Ok::<(), GeoError>(())
+            },
+        );
+        // Chunk results come back in chunk order, each stopped at its
+        // first failure: this is the first error in dataset order.
+        for result in results {
+            result?;
+        }
+        let touched: usize = new.map(|pos| self.clean.tags_at(pos).len()).sum();
+        self.stats.rows_touched += touched as u64;
         self.stats.batches += 1;
         self.stats.videos_seen += delta.unique as u64;
         self.stats.duplicates += delta.duplicates as u64;
@@ -307,12 +298,13 @@ impl IngestEngine {
     /// `filter → compute → aggregate` of the concatenated corpus: the
     /// clean columns replay the cold column writes, the rows kept
     /// since the last publish move (no copy) into a new sealed
-    /// reconstruction segment, and the aggregate slots are reordered
-    /// (copied) into the [`TagId`]-ordered compact matrix the cold
-    /// table builds. Sealed clean and reconstruction segments are
-    /// shared with every earlier epoch, so a publish copies only the
-    /// view column, the interner's pointers, the postings and the
-    /// aggregates, never an earlier video's columns or row.
+    /// reconstruction segment, and the aggregate table extends the
+    /// previous epoch's rows by the new postings with the cold
+    /// aggregate's kernel, on the pool. Sealed clean and
+    /// reconstruction segments are shared with every earlier epoch, so
+    /// a publish copies only the view column, the interner's pointers,
+    /// the postings and the aggregates, never an earlier video's
+    /// columns or row.
     ///
     /// # Errors
     ///
@@ -320,35 +312,29 @@ impl IngestEngine {
     /// shape by construction — but matrix assembly is fallible, so the
     /// signature is honest.
     pub fn publish(&mut self) -> Result<Arc<EpochSnapshot>, GeoError> {
-        let cc = self.traffic.len();
+        // Recycle the aggregate buffer of the epoch before `latest`
+        // unless a reader still holds that epoch.
+        let buffer = self
+            .retired
+            .take()
+            .and_then(|epoch| Arc::try_unwrap(epoch).ok())
+            .map(|epoch| epoch.table.into_buffer())
+            .unwrap_or_default();
         let clean = self.clean.snapshot();
         let open = CountryMatrix::from_flat(
             self.clean.kept() - self.recon.len(),
-            cc,
+            self.traffic.len(),
             std::mem::take(&mut self.open_rows),
         )?;
         self.recon.push_segment(open);
         let recon = self.recon.clone();
-
-        // Reorder first-populated slots into the TagId-ordered compact
-        // spine. `video_counts[t] > 0 ⟺ slot_of[t] != NO_SLOT`, and
-        // f64 copies preserve bits.
-        let tag_count = self.video_counts.len();
-        let mut row_of = vec![NO_ROW; tag_count];
-        let mut tag_of_row = Vec::new();
-        let mut rows_data = Vec::with_capacity(self.agg.len());
-        for (t, &slot) in self.slot_of.iter().enumerate() {
-            if slot == NO_SLOT {
-                continue;
-            }
-            row_of[t] = tag_of_row.len() as u32;
-            tag_of_row.push(TagId::from_index(t));
-            let s = slot as usize * cc;
-            rows_data.extend_from_slice(&self.agg[s..s + cc]);
-        }
-        let rows = CountryMatrix::from_flat(tag_of_row.len(), cc, rows_data)?;
-        let table =
-            TagViewTable::from_parts(row_of, tag_of_row, rows, self.video_counts.clone(), cc);
+        let table = TagViewTable::extend_with(
+            &Pool::from_env(),
+            self.latest.as_ref().map(|epoch| &epoch.table),
+            &clean,
+            &recon,
+            buffer,
+        );
 
         self.epoch += 1;
         self.stats.epoch_flips += 1;
@@ -358,6 +344,7 @@ impl IngestEngine {
             recon,
             table,
         });
+        self.retired = self.latest.replace(Arc::clone(&snapshot));
         self.published.store(Arc::clone(&snapshot));
         Ok(snapshot)
     }
@@ -394,7 +381,8 @@ impl IngestEngine {
     /// `.duplicates`, `.videos_kept`, `.rows_touched`,
     /// `.epoch_flips`) — the gated smoke-subtree section. Counters are
     /// totals over the engine's lifetime and never depend on
-    /// `TAGDIST_THREADS`: the delta path is sequential by design.
+    /// `TAGDIST_THREADS`: each is counted on the calling thread from
+    /// the batch's records, whatever the pool's chunking.
     pub fn record_obs(&self, parent: &SpanGuard) {
         let span = parent.child("ingest");
         let obs = span.recorder();

@@ -121,6 +121,38 @@ impl TagViewTable {
         clean: &CleanDataset,
         recon: &Reconstruction,
     ) -> TagViewTable {
+        TagViewTable::extend_with(pool, None, clean, recon, Vec::new())
+    }
+
+    /// The one aggregate kernel: the cold build is this with no `base`;
+    /// the streaming-ingest engine's publish passes the previous
+    /// epoch's table.
+    ///
+    /// `base` must be the table of a prefix of the same corpus: its
+    /// clean positions are the first positions of `clean`, and its tags
+    /// keep their ids. Each populated row then starts from the tag's
+    /// `base` row (zeros if it has none) and adds the tag's postings
+    /// past the first `base.video_count(tag)` — the positions `base`
+    /// did not cover, in dataset order. That extends the tag's left
+    /// fold exactly where the cold build continues it, so the result
+    /// equals [`aggregate`](TagViewTable::aggregate) of `clean` bit for
+    /// bit, at any thread count.
+    ///
+    /// `buffer` is any spare allocation (a retired epoch's
+    /// [`into_buffer`](TagViewTable::into_buffer)); its contents are
+    /// overwritten. Empty, a zeroed buffer is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `recon` was computed from a different dataset (length
+    /// mismatch).
+    pub(crate) fn extend_with(
+        pool: &Pool,
+        base: Option<&TagViewTable>,
+        clean: &CleanDataset,
+        recon: &Reconstruction,
+        mut buffer: Vec<f64>,
+    ) -> TagViewTable {
         assert_eq!(
             clean.len(),
             recon.len(),
@@ -131,10 +163,8 @@ impl TagViewTable {
 
         // The clean dataset inverted the corpus at construction:
         // `videos_with_tag` is each tag's retained dataset positions,
-        // in dataset order — the exact posting lists the two serial
-        // count-and-invert passes here used to rebuild. Only the
-        // compact row spine (populated tags in TagId order) remains to
-        // derive.
+        // in dataset order. Only the compact row spine (populated tags
+        // in TagId order) remains to derive.
         let mut video_counts = vec![0u32; tag_count];
         let mut row_of = vec![NO_ROW; tag_count];
         let mut tag_of_row = Vec::new();
@@ -146,58 +176,64 @@ impl TagViewTable {
                 tag_of_row.push(TagId::from_index(index));
             }
         }
-        let populated = tag_of_row.len();
+        let len = tag_of_row.len() * country_count;
+        if buffer.capacity() == 0 {
+            buffer = vec![0.0; len];
+        } else {
+            buffer.truncate(len);
+            buffer.reserve_exact(len - buffer.len());
+            buffer.resize(len, 0.0);
+        }
 
-        // Every compact row is the dataset-order sum of its postings'
-        // reconstructed rows. Rows are independent, so they fan out
-        // over the pool writing straight into the one contiguous
-        // matrix; each row's addition sequence never depends on
-        // scheduling, so the result is bit-identical at any thread
-        // count — and to a serial video-order accumulation.
-        let mut rows = CountryMatrix::zeros(populated, country_count);
+        // Rows are independent, so they fan out over the pool writing
+        // straight into the one contiguous matrix; each row's addition
+        // sequence never depends on scheduling, so the result is
+        // bit-identical at any thread count — and to a serial
+        // video-order accumulation.
         let _: Vec<()> = pool.par_fill(
             &tag_of_row,
-            rows.as_mut_slice(),
+            &mut buffer,
             country_count,
             |_start, chunk, block| {
                 for (j, &tag) in chunk.iter().enumerate() {
                     let dst = &mut block[j * country_count..(j + 1) * country_count];
-                    for &pos in clean.videos_with_tag(tag) {
+                    let prefix = base.and_then(|b| Some((b.views(tag)?, b.video_count(tag))));
+                    let done = match prefix {
+                        Some((row, count)) => {
+                            dst.copy_from_slice(row);
+                            count
+                        }
+                        None => {
+                            dst.fill(0.0);
+                            0
+                        }
+                    };
+                    for &pos in &clean.videos_with_tag(tag)[done..] {
                         kernel::add_assign(dst, recon.row(pos as usize));
                     }
                 }
             },
         );
 
+        #[expect(
+            clippy::expect_used,
+            reason = "the buffer was sized to populated tags × countries above"
+        )]
+        let rows = CountryMatrix::from_flat(tag_of_row.len(), country_count, buffer)
+            .expect("buffer matches the spine");
         TagViewTable {
             row_of,
-            tag_of_row,
             rows,
+            tag_of_row,
             video_counts,
             country_count,
         }
     }
 
-    /// Assembles a table from already-aggregated parts (the
-    /// streaming-ingest engine's snapshot path). Invariants expected:
-    /// `row_of` and `video_counts` are full-vocabulary spines,
-    /// `tag_of_row` lists populated tags ascending, and `rows` holds
-    /// their aggregates in the same order.
-    pub(crate) fn from_parts(
-        row_of: Vec<u32>,
-        tag_of_row: Vec<TagId>,
-        rows: CountryMatrix,
-        video_counts: Vec<u32>,
-        country_count: usize,
-    ) -> TagViewTable {
-        debug_assert_eq!(rows.rows(), tag_of_row.len());
-        TagViewTable {
-            row_of,
-            tag_of_row,
-            rows,
-            video_counts,
-            country_count,
-        }
+    /// Gives up the aggregate matrix's allocation for
+    /// [`extend_with`](TagViewTable::extend_with) to reuse.
+    pub(crate) fn into_buffer(self) -> Vec<f64> {
+        self.rows.into_flat()
     }
 
     /// World size of every row.

@@ -55,13 +55,15 @@ const WATCH_POLL_ITERATIONS: u64 = 256;
 
 /// Derived per-epoch read state: the pinned snapshot plus the two
 /// indices queries need (built once per epoch flip, never mutated),
-/// and the `/stats` body, rendered on its first request.
+/// and the `/stats` and `/report` bodies, each rendered on its first
+/// request and served from memory after that.
 pub struct ServeState {
     /// The pinned epoch.
     pub snapshot: Arc<EpochSnapshot>,
     index: GeoTagIndex,
     keys: KeyIndex,
     stats: OnceLock<String>,
+    report: OnceLock<String>,
 }
 
 impl std::fmt::Debug for ServeState {
@@ -76,8 +78,9 @@ impl std::fmt::Debug for ServeState {
 impl ServeState {
     /// Builds the read state for one epoch: the canonical signature
     /// index ([`query::build_geo_index`]) and the key → position
-    /// index. The `/stats` body is left to its first request, so an
-    /// epoch flip does not pay for a whole-corpus statistics pass.
+    /// index. The `/stats` and `/report` bodies are left to their first
+    /// requests, so an epoch flip does not pay for whole-corpus passes
+    /// nobody asked for.
     pub fn build(snapshot: Arc<EpochSnapshot>, traffic: &GeoDist) -> ServeState {
         let index = query::build_geo_index(&snapshot.table, traffic);
         let keys = KeyIndex::build(&snapshot.clean);
@@ -86,6 +89,7 @@ impl ServeState {
             index,
             keys,
             stats: OnceLock::new(),
+            report: OnceLock::new(),
         }
     }
 
@@ -105,7 +109,10 @@ impl ServeState {
         let answer = match (head, segments.next()) {
             ("healthz", None) => return (200, "OK", format!("ok epoch {}\n", self.snapshot.epoch)),
             ("stats", None) => Ok(self.stats.get_or_init(|| query::stats_body(clean)).clone()),
-            ("report", None) => Ok(query::ingest_report_body(clean, table)),
+            ("report", None) => Ok(self
+                .report
+                .get_or_init(|| query::ingest_report_body(clean, table))
+                .clone()),
             ("tag", Some(enc)) => match percent_decode(enc) {
                 Some(name) => query::tag_body(clean, table, traffic.distribution(), &name),
                 None => return bad_encoding(enc),
@@ -552,6 +559,27 @@ mod tests {
         let (status, _, body) = state.respond(&traffic, "/healthz");
         assert_eq!(status, 200);
         assert_eq!(body, "ok epoch 1\n");
+    }
+
+    #[test]
+    fn report_body_is_rendered_once_per_epoch() {
+        let (state, traffic) = state();
+        assert!(
+            state.report.get().is_none(),
+            "built without rendering /report"
+        );
+        let first = state.respond(&traffic, "/report");
+        let memo = state.report.get().map(|body| body.as_ptr());
+        assert!(memo.is_some());
+        let second = state.respond(&traffic, "/report");
+        assert_eq!(
+            state.report.get().map(|body| body.as_ptr()),
+            memo,
+            "the second request is served from the first render"
+        );
+        assert_eq!(second, first);
+        let (clean, table) = (&state.snapshot.clean, &state.snapshot.table);
+        assert_eq!(first.2, query::ingest_report_body(clean, table));
     }
 
     #[test]

@@ -356,6 +356,192 @@ fn incremental_ingest_equals_cold_rebuild_across_threads() {
     std::env::remove_var(THREADS_ENV);
 }
 
+/// The streamed cases the crawl-driven oracle above cannot reach, each
+/// checked at every publish against the cold
+/// filter → compute → aggregate rebuild of everything applied so far,
+/// field for field, at 1 and 2 pool threads:
+///
+/// * sources whose interners order the same names differently, then
+///   one that reuses source tag ids for new names, so the engine's tag
+///   memo must miss on the name check;
+/// * several `apply_range` calls before one publish;
+/// * an empty batch followed by a publish;
+/// * duplicate keys across datasets (first crawl wins).
+#[test]
+fn streamed_edge_cases_equal_the_cold_rebuild_across_threads() {
+    use tagdist::dataset::{filter, Dataset, DatasetBuilder, VideoId};
+    use tagdist::reconstruct::{IngestEngine, Reconstruction, TagViewTable};
+
+    let traffic = tagdist::geo::GeoDist::from_slice(&[5.0, 2.0, 1.0]).unwrap();
+    let a = stream_source("a", &vocabulary("t", 0..100), 300);
+    let reversed: Vec<String> = vocabulary("t", 0..100).into_iter().rev().collect();
+    let b = stream_source("b", &reversed, 250);
+    let c = stream_source("c", &vocabulary("u", 0..80), 200);
+    // Keys a0..a299 again (duplicates), then a300..a349.
+    let d = stream_source("a", &vocabulary("t", 50..150), 350);
+    let empty = DatasetBuilder::new(3).build();
+
+    enum Step<'a> {
+        Apply(&'a Dataset, usize, usize),
+        Publish,
+    }
+    use Step::{Apply, Publish};
+    fn whole(d: &Dataset) -> Step<'_> {
+        Apply(d, 0, d.len())
+    }
+    let cases: Vec<(&str, Vec<Step>)> = vec![
+        (
+            "reordered and reused source ids, duplicate keys",
+            vec![
+                whole(&a),
+                Publish,
+                whole(&b),
+                Publish,
+                whole(&c),
+                Publish,
+                whole(&d),
+                Publish,
+            ],
+        ),
+        (
+            "several batches before one publish",
+            vec![
+                Apply(&a, 0, 100),
+                Apply(&a, 100, 101),
+                whole(&c),
+                Apply(&a, 101, 300),
+                whole(&b),
+                Publish,
+                whole(&d),
+                whole(&a),
+                Publish,
+            ],
+        ),
+        (
+            "empty batches, then publishes",
+            vec![
+                whole(&empty),
+                Publish,
+                whole(&a),
+                Publish,
+                Apply(&b, 40, 40),
+                Publish,
+                whole(&empty),
+                Publish,
+                whole(&b),
+                Publish,
+            ],
+        ),
+    ];
+
+    for threads in ["1", "2"] {
+        std::env::set_var(THREADS_ENV, threads);
+        for (name, steps) in &cases {
+            let mut engine = IngestEngine::new(traffic.clone());
+            let mut applied = Vec::new();
+            for step in steps {
+                match *step {
+                    Apply(source, from, to) => {
+                        engine.apply_range(source, from, to).unwrap();
+                        applied.push((source, from, to));
+                    }
+                    Publish => {
+                        let snapshot = engine.publish().unwrap();
+                        // The concatenation a resumed crawl would save:
+                        // every record in order, the first key winning.
+                        let mut concatenated = DatasetBuilder::new(3);
+                        for &(source, from, to) in &applied {
+                            for i in from..to {
+                                let v = source.video(VideoId::from_index(i));
+                                let names: Vec<&str> =
+                                    v.tags.iter().map(|&t| source.tags().name(t)).collect();
+                                concatenated.push_video_titled(
+                                    &v.key,
+                                    &v.title,
+                                    v.total_views,
+                                    &names,
+                                    v.popularity.clone(),
+                                );
+                            }
+                        }
+                        let clean = filter(&concatenated.build());
+                        let recon = Reconstruction::compute(&clean, &traffic).unwrap();
+                        let table = TagViewTable::aggregate(&clean, &recon);
+                        let at = format!("{name}, epoch {}, {threads} threads", snapshot.epoch);
+                        assert_eq!(snapshot.clean, clean, "clean columns: {at}");
+                        assert_eq!(snapshot.recon, recon, "reconstruction: {at}");
+                        assert_eq!(snapshot.table, table, "aggregates: {at}");
+                    }
+                }
+            }
+        }
+    }
+    std::env::remove_var(THREADS_ENV);
+}
+
+/// A publish recycles the aggregate buffer of the epoch two publishes
+/// back only if no reader holds that epoch: a pinned epoch keeps its
+/// own buffer and its bytes never change.
+#[test]
+fn a_pinned_epoch_keeps_its_aggregate_buffer() {
+    use tagdist::reconstruct::{IngestEngine, TagViewTable};
+
+    let buffer_of = |table: &TagViewTable| table.iter().next().unwrap().1.as_ptr();
+    let traffic = tagdist::geo::GeoDist::from_slice(&[5.0, 2.0, 1.0]).unwrap();
+    let a = stream_source("a", &vocabulary("t", 0..100), 300);
+    let mut engine = IngestEngine::new(traffic);
+    engine.apply_range(&a, 0, 150).unwrap();
+    let held = engine.publish().unwrap();
+    let pinned = held.table.clone();
+    engine.apply_range(&a, 150, 300).unwrap();
+    let second = buffer_of(&engine.publish().unwrap().table);
+    // Epoch 3 would recycle epoch 1's buffer, but a reader holds it.
+    let third = engine.publish().unwrap();
+    assert_ne!(buffer_of(&third.table), buffer_of(&held.table));
+    assert_eq!(held.table, pinned, "the pinned epoch's bytes changed");
+    // Nobody holds epoch 2: epoch 4 writes into its buffer.
+    let fourth = engine.publish().unwrap();
+    assert_eq!(buffer_of(&fourth.table), second);
+    assert_eq!(fourth.table, third.table);
+    assert_eq!(held.table, pinned);
+}
+
+/// Tag names `{prefix}{i}` for `i` in `range`, in that order.
+fn vocabulary(prefix: &str, range: std::ops::Range<usize>) -> Vec<String> {
+    range.map(|i| format!("{prefix}{i}")).collect()
+}
+
+/// `videos` records keyed `{key_prefix}{i}` whose tags walk
+/// `vocabulary` in order, so the dataset's interner assigns ids in
+/// vocabulary order; every fifth record carries no popularity map and
+/// is dropped by the filter.
+fn stream_source(
+    key_prefix: &str,
+    vocabulary: &[String],
+    videos: usize,
+) -> tagdist::dataset::Dataset {
+    use tagdist::dataset::{DatasetBuilder, RawPopularity};
+
+    let mut b = DatasetBuilder::new(3);
+    for i in 0..videos {
+        let tags: Vec<&str> = (0..=i % 3)
+            .map(|k| vocabulary[(i + 7 * k) % vocabulary.len()].as_str())
+            .collect();
+        let pop = if i % 5 == 4 {
+            RawPopularity::Missing
+        } else {
+            RawPopularity::decode(vec![(i % 61) as u8 + 1, 30, (i * 7 % 61) as u8], 3)
+        };
+        b.push_video(
+            &format!("{key_prefix}{i}"),
+            10 + (i * i % 997) as u64,
+            &tags,
+            pop,
+        );
+    }
+    b.build()
+}
+
 mod par_fold_properties {
     use super::Pool;
     use proptest::prelude::*;
