@@ -544,7 +544,7 @@ pub fn expected_bodies(
     for target in plan {
         if !expected.contains_key(target) {
             let (status, _reason, body) = state.respond(traffic, target);
-            expected.insert(target.clone(), (status, body.into_bytes()));
+            expected.insert(target.clone(), (status, body.into_owned().into_bytes()));
         }
     }
     expected

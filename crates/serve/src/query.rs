@@ -10,12 +10,18 @@
 //! Renderers take snapshot *parts* (`CleanDataset`, `Reconstruction`,
 //! `TagViewTable`), not an [`EpochSnapshot`], so the offline path can
 //! cold-build the parts and the server can borrow them from a pinned
-//! epoch — the equality of those two states is PR 9's rebuild oracle.
+//! epoch — the equality of those two states is the rebuild oracle.
+//!
+//! Text bodies print views as humans read them. The one exception is
+//! [`ingest_report_body`], the byte oracle for pipeline state: it
+//! writes every tag × country cell as the hex digits of its
+//! [`f64::to_bits`], so equal report bytes mean bit-equal aggregates.
 //!
 //! [`EpochSnapshot`]: tagdist::reconstruct::EpochSnapshot
 
 use std::fmt;
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 use tagdist::dataset::{
     binfmt, decode_any, filter, filter_columnar, sniff, CleanDataset, DatasetFormat, DatasetStats,
@@ -256,22 +262,82 @@ pub fn predict_body(
     Ok(text)
 }
 
-/// Renders a pipeline state — streamed epoch snapshot or cold rebuild
-/// alike — as a deterministic text report: `{:?}` on f64 round-trips
-/// every bit, so byte-equal reports mean bit-equal state. This is the
-/// artifact the CI incremental-oracle lane `cmp`s, and the `/report`
-/// route's body.
-pub fn ingest_report_body(clean: &CleanDataset, table: &TagViewTable) -> String {
-    let mut text = String::new();
-    let _ = writeln!(text, "{}", clean.report());
-    let _ = writeln!(text, "unique tags: {}", clean.tags().len());
-    let _ = writeln!(text, "total views: {}", clean.total_views());
-    let _ = writeln!(text, "countries: {}", clean.country_count());
-    let _ = writeln!(text, "populated tags: {}", table.populated_tags());
-    for (tag, row) in table.iter() {
-        let _ = writeln!(text, "{}\t{row:?}", tag.index());
+/// `HEX_PAIRS[b]` is byte `b` as two lowercase hex digits.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut pairs = [[0; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
+        b += 1;
     }
-    text
+    pairs
+};
+
+/// One report cell: `views.to_bits()` as 16 lowercase hex digits.
+fn hex_bits(views: f64) -> [u8; 16] {
+    let mut cell = [0; 16];
+    for (pair, byte) in cell.chunks_exact_mut(2).zip(views.to_bits().to_be_bytes()) {
+        pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+    }
+    cell
+}
+
+/// Renders a pipeline state — streamed epoch snapshot or cold rebuild
+/// alike — as a deterministic text report. After five summary lines
+/// and a `row format:` line naming the encoding, every populated tag
+/// is one row:
+///
+/// ```text
+/// 0\t41b4b4f9cbde69cc 417c273e277a60eb … 416ca0898e62f196
+/// ```
+///
+/// the tag's index, a tab, then each country's aggregated views as the
+/// 16 lowercase hex digits of [`f64::to_bits`], in country order. A
+/// cell decodes with `f64::from_bits(u64::from_str_radix(cell, 16)?)`
+/// (`41b4b4f9cbde69cc` is 347404747.86880183 views). The encoding is
+/// exact, so byte-equal reports mean bit-equal state (`0.0` and `-0.0`
+/// render differently). This is the artifact the CI incremental-oracle
+/// lane `cmp`s, and the `/report` route's body.
+///
+/// Every cell has the same width, so the text is sized once up front
+/// and written in one serial pass with no reallocation.
+pub fn ingest_report_body(clean: &CleanDataset, table: &TagViewTable) -> String {
+    let mut head = String::new();
+    let _ = writeln!(head, "{}", clean.report());
+    let _ = writeln!(head, "unique tags: {}", clean.tags().len());
+    let _ = writeln!(head, "total views: {}", clean.total_views());
+    let _ = writeln!(head, "countries: {}", clean.country_count());
+    let _ = writeln!(head, "populated tags: {}", table.populated_tags());
+    let _ = writeln!(
+        head,
+        "row format: tag index, tab, then per country the f64::to_bits of its views \
+         as 16 lowercase hex digits, space-separated"
+    );
+    // `{tag}\t`, then 16 digits per cell, a space between cells and
+    // `\n` after the row.
+    let rows_len: usize = table
+        .iter()
+        .map(|(tag, row)| {
+            let digits = tag.index().checked_ilog10().map_or(1, |d| d as usize + 1);
+            digits + 1 + 16 * row.len() + row.len().saturating_sub(1) + 1
+        })
+        .sum();
+    let mut text = Vec::with_capacity(head.len() + rows_len);
+    text.extend_from_slice(head.as_bytes());
+    for (tag, row) in table.iter() {
+        let _ = write!(text, "{}\t", tag.index());
+        for (c, &views) in row.iter().enumerate() {
+            if c > 0 {
+                text.push(b' ');
+            }
+            text.extend_from_slice(&hex_bits(views));
+        }
+        text.push(b'\n');
+    }
+    // The head is a `String` and every row byte is ASCII, so this
+    // never takes the lossy branch (which would copy).
+    String::from_utf8(text).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
@@ -372,13 +438,60 @@ mod tests {
     }
 
     #[test]
-    fn ingest_report_body_is_the_oracle_artifact() {
+    fn ingest_report_body_parses_back_to_the_table_bit_for_bit() {
         let (clean, _, table, _) = parts();
         let body = ingest_report_body(&clean, &table);
-        assert!(body.contains("unique tags: "));
-        assert!(body.contains("populated tags: "));
-        // One matrix row per populated tag, each `{:?}`-rendered.
-        let rows = body.lines().filter(|l| l.contains("\t[")).count();
-        assert_eq!(rows, table.populated_tags());
+        assert_eq!(body.len(), body.capacity(), "sized once, exactly");
+        let mut lines = body.lines();
+        let head: Vec<&str> = lines
+            .by_ref()
+            .take_while(|l| !l.starts_with("row format:"))
+            .collect();
+        assert!(head.iter().any(|l| l.starts_with("unique tags: ")));
+        let populated: usize = head
+            .iter()
+            .find_map(|l| l.strip_prefix("populated tags: "))
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert_eq!(populated, table.populated_tags());
+        let rows: Vec<&str> = lines.collect();
+        assert_eq!(rows.len(), populated);
+        for (line, (tag, want)) in rows.iter().zip(table.iter()) {
+            let (index, cells) = line.split_once('\t').unwrap();
+            assert_eq!(index.parse::<usize>().unwrap(), tag.index());
+            let got: Vec<u64> = cells
+                .split(' ')
+                .map(|cell| {
+                    assert_eq!(cell.len(), 16, "{cell:?}");
+                    u64::from_str_radix(cell, 16).unwrap()
+                })
+                .collect();
+            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "row of tag {index}");
+        }
+    }
+
+    #[test]
+    fn report_cells_round_trip_every_bit() {
+        let cells = [
+            0.0,
+            -0.0,
+            f64::from_bits(1), // the smallest subnormal
+            f64::MAX,
+            1e16,
+            1e-5,
+            0.1 + 0.2, // 0.30000000000000004: 17 significant digits
+        ];
+        for v in cells {
+            let hex = hex_bits(v);
+            let text = std::str::from_utf8(&hex).unwrap();
+            assert_eq!(text, format!("{:016x}", v.to_bits()));
+            let back = f64::from_bits(u64::from_str_radix(text, 16).unwrap());
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?}");
+        }
+        assert_ne!(hex_bits(0.0), hex_bits(-0.0));
+        assert_eq!(&hex_bits(0.0), b"0000000000000000");
+        assert_eq!(&hex_bits(-0.0), b"8000000000000000");
     }
 }

@@ -23,6 +23,7 @@
 //! `TAGDIST_THREADS`, which is what the CI serve-oracle lane `cmp`s
 //! and the bench gate locks in.
 
+use std::borrow::Cow;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -96,9 +97,15 @@ impl ServeState {
     /// Routes one request target to `(status, reason, body)`. Pure:
     /// the same target against the same state yields the same bytes,
     /// and every 200 body is the corresponding offline command's
-    /// output. (`/metrics` is served by the connection handler — it
-    /// reads live counters, not epoch state.)
-    pub fn respond(&self, traffic: &TrafficModel, target: &str) -> (u16, &'static str, String) {
+    /// output. The memoized `/stats` and `/report` bodies are borrowed
+    /// from the state, so serving them copies nothing. (`/metrics` is
+    /// served by the connection handler — it reads live counters, not
+    /// epoch state.)
+    pub fn respond(
+        &self,
+        traffic: &TrafficModel,
+        target: &str,
+    ) -> (u16, &'static str, Cow<'_, str>) {
         // Queries (`?…`) are accepted and ignored: routes are
         // path-shaped.
         let path = target.split('?').next().unwrap_or(target);
@@ -107,12 +114,20 @@ impl ServeState {
         let clean = &self.snapshot.clean;
         let table = &self.snapshot.table;
         let answer = match (head, segments.next()) {
-            ("healthz", None) => return (200, "OK", format!("ok epoch {}\n", self.snapshot.epoch)),
-            ("stats", None) => Ok(self.stats.get_or_init(|| query::stats_body(clean)).clone()),
-            ("report", None) => Ok(self
-                .report
-                .get_or_init(|| query::ingest_report_body(clean, table))
-                .clone()),
+            ("healthz", None) => {
+                let body = format!("ok epoch {}\n", self.snapshot.epoch);
+                return (200, "OK", body.into());
+            }
+            ("stats", None) => {
+                let body = self.stats.get_or_init(|| query::stats_body(clean));
+                return (200, "OK", body.as_str().into());
+            }
+            ("report", None) => {
+                let body = self
+                    .report
+                    .get_or_init(|| query::ingest_report_body(clean, table));
+                return (200, "OK", body.as_str().into());
+            }
             ("tag", Some(enc)) => match percent_decode(enc) {
                 Some(name) => query::tag_body(clean, table, traffic.distribution(), &name),
                 None => return bad_encoding(enc),
@@ -139,20 +154,20 @@ impl ServeState {
                 let refs: Vec<&str> = names.iter().map(String::as_str).collect();
                 query::predict_body(clean, table, traffic.distribution(), &refs)
             }
-            _ => return (404, "Not Found", format!("no route for {path:?}\n")),
+            _ => return (404, "Not Found", format!("no route for {path:?}\n").into()),
         };
         match answer {
-            Ok(body) => (200, "OK", body),
-            Err(e) => (404, "Not Found", format!("{e}\n")),
+            Ok(body) => (200, "OK", body.into()),
+            Err(e) => (404, "Not Found", format!("{e}\n").into()),
         }
     }
 }
 
-fn bad_encoding(segment: &str) -> (u16, &'static str, String) {
+fn bad_encoding(segment: &str) -> (u16, &'static str, Cow<'static, str>) {
     (
         400,
         "Bad Request",
-        format!("bad percent-encoding in {segment:?}\n"),
+        format!("bad percent-encoding in {segment:?}\n").into(),
     )
 }
 
@@ -428,7 +443,7 @@ fn handle_connection(
             Ok(Some(request)) => {
                 stats.requests.fetch_add(1, Ordering::Relaxed);
                 let (status, reason, body, content_type) = if request.target == "/metrics" {
-                    (200, "OK", stats.metrics_json(), "application/json")
+                    (200, "OK", stats.metrics_json().into(), "application/json")
                 } else {
                     let (status, reason, body) = state.respond(traffic, &request.target);
                     (status, reason, body, "text/plain; charset=utf-8")
@@ -576,6 +591,10 @@ mod tests {
             state.report.get().map(|body| body.as_ptr()),
             memo,
             "the second request is served from the first render"
+        );
+        assert!(
+            matches!(second.2, Cow::Borrowed(body) if Some(body.as_ptr()) == memo),
+            "the second response borrows the memo instead of copying it"
         );
         assert_eq!(second, first);
         let (clean, table) = (&state.snapshot.clean, &state.snapshot.table);
