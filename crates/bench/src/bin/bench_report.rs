@@ -87,8 +87,7 @@ fn allocation_count() -> u64 {
 }
 
 /// An in-process `tagdist serve` instance on an ephemeral port,
-/// running its accept loop on a background thread with a one-worker
-/// pool.
+/// running on a background thread with one worker.
 struct LiveServer {
     addr: String,
     stats: Arc<tagdist_serve::server::ServeStats>,
@@ -119,14 +118,14 @@ fn boot_server(snapshot: Arc<EpochSnapshot>, traffic: TrafficModel) -> LiveServe
 }
 
 impl LiveServer {
-    /// Signals shutdown and joins the accept loop, asserting it exits
+    /// Signals shutdown and joins the server thread, asserting it exits
     /// cleanly (the same contract the CI lane checks via SIGTERM).
     fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
         self.worker
             .join()
             .expect("server thread joins")
-            .expect("server accept loop exits cleanly");
+            .expect("server exits cleanly");
     }
 }
 

@@ -120,7 +120,9 @@ USAGE:
       as a new epoch under live traffic — the single-process
       composition with `tagdist crawl`/`convert` rewriting FILE
       between runs (in-flight requests keep their pinned epoch).
-      SIGTERM/SIGINT drain the accept loop and exit 0.
+      Replace FILE by writing a sibling and renaming it over FILE;
+      rewriting it in place is not supported.
+      SIGTERM/SIGINT stop the server and exit 0.
   tagdist bench-serve FILE --addr HOST:PORT [--requests N]
                       [--concurrency C] [--seed S] [--smoke]
                       [--dump DIR] [--summary FILE]
@@ -632,8 +634,8 @@ fn predict<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     write!(out, "{body}").map_err(|e| e.to_string())
 }
 
-/// `tagdist serve`: publish the dataset as epoch 1 and run the accept
-/// loop until SIGTERM/SIGINT (or a failed bind).
+/// `tagdist serve`: publish the dataset as epoch 1 and serve until
+/// SIGTERM/SIGINT (or a failed bind).
 fn serve_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args.positional(0, "dataset file")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:0");
@@ -649,7 +651,7 @@ fn serve_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     signal::install();
     writeln!(out, "serving {path} on http://{bound}/").map_err(|e| e.to_string())?;
     // The CI lane backgrounds this process and reads the port from the
-    // log, so the address line must land before the loop starts.
+    // log, so the address line must land before serving starts.
     out.flush().map_err(|e| e.to_string())?;
     server.run(&Pool::from_env(), signal::shutdown_flag())
 }

@@ -15,18 +15,17 @@
 //!   byte-identical to the corresponding `tagdist stats`/`tag`/
 //!   `country`/`ingest --cold` output: the repo's determinism
 //!   contract extended to the network boundary.
-//! * [`server`] — the accept loop: non-blocking accepts drained in
-//!   batches onto the `tagdist-par` worker pool, each connection
-//!   pinning the current epoch (an `Arc` clone) for its whole
-//!   lifetime. Publishing a new epoch under live traffic costs a
-//!   reader one mutex-guarded `Arc` clone per accept batch; no lock
+//! * [`server`] — one worker thread per pool thread, each blocking in
+//!   `accept` and serving one connection at a time, so a slow client
+//!   holds only its own worker. Every request pins the latest
+//!   published epoch (an `Arc` clone under one shared mutex); no lock
 //!   is held while a request is answered.
 //! * [`signal`] — SIGTERM/SIGINT → graceful-shutdown flag (the one
 //!   sanctioned `unsafe` outside `tagdist-dataset`'s mmap module).
 //! * [`loadgen`] — `tagdist bench-serve`: replays seeded synthetic
 //!   requests with Zipf-distributed tag popularity sampled from the
 //!   corpus itself, asserts every response body against the offline
-//!   answer, and reports p50/p99 latency and throughput.
+//!   answer, and reports p50/p99/max latency and throughput.
 //!
 //! [`EpochSnapshot`]: tagdist::reconstruct::EpochSnapshot
 

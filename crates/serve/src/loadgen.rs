@@ -96,6 +96,8 @@ pub struct LoadReport {
     pub p50_us: u64,
     /// 99th-percentile request latency, microseconds.
     pub p99_us: u64,
+    /// Slowest request latency, microseconds.
+    pub max_us: u64,
     /// Wall time of the whole run, milliseconds.
     pub elapsed_ms: u64,
     /// Completed requests per wall-clock second.
@@ -105,17 +107,51 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
+    /// Summarizes a run from its per-request latencies (any order) and
+    /// totals. Every completed or failed request counts.
+    fn new(
+        mut latencies: Vec<u64>,
+        elapsed: Duration,
+        failures: u64,
+        identity_failures: u64,
+        body_bytes: u64,
+    ) -> LoadReport {
+        latencies.sort_unstable();
+        let requests = latencies.len() as u64;
+        let pct = |p: u64| match requests {
+            0 => 0,
+            n => latencies[((n - 1) * p / 100) as usize],
+        };
+        let secs = elapsed.as_secs_f64();
+        LoadReport {
+            requests,
+            failures,
+            identity_failures,
+            p50_us: pct(50),
+            p99_us: pct(99),
+            max_us: pct(100),
+            elapsed_ms: elapsed.as_millis() as u64,
+            throughput_rps: if secs > 0.0 {
+                requests as f64 / secs
+            } else {
+                requests as f64
+            },
+            body_bytes,
+        }
+    }
+
     /// The human summary `tagdist bench-serve` prints.
     pub fn summary(&self) -> String {
         format!(
             "bench-serve: {} requests, {} failures, {} identity failures\n\
-             latency: p50 {} us, p99 {} us\n\
+             latency: p50 {} us, p99 {} us, max {} us\n\
              throughput: {:.0} req/s over {} ms ({} body bytes)\n",
             self.requests,
             self.failures,
             self.identity_failures,
             self.p50_us,
             self.p99_us,
+            self.max_us,
             self.throughput_rps,
             self.elapsed_ms,
             self.body_bytes
@@ -127,13 +163,14 @@ impl LoadReport {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"requests\": {}, \"failures\": {}, \"identity_failures\": {}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"elapsed_ms\": {}, \
+             \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}, \"elapsed_ms\": {}, \
              \"throughput_rps\": {:.1}, \"body_bytes\": {}}}",
             self.requests,
             self.failures,
             self.identity_failures,
             self.p50_us,
             self.p99_us,
+            self.max_us,
             self.elapsed_ms,
             self.throughput_rps,
             self.body_bytes
@@ -304,17 +341,12 @@ pub fn smoke_queries(clean: &CleanDataset, table: &TagViewTable) -> Vec<SmokeQue
 /// out) — how `bench-serve` waits for a separately booted server.
 pub fn wait_ready(addr: &str, attempts: u32, delay: Duration) -> bool {
     for _ in 0..attempts {
-        if let Ok(mut stream) = TcpStream::connect(addr) {
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-            let sent = stream
-                .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-                .is_ok();
-            if sent {
-                let mut client = Client::from_stream(stream);
-                if let Ok((200, _)) = client.read_response() {
-                    return true;
-                }
-            }
+        let answer = Client::connect(addr, 2_000).and_then(|mut client| {
+            client.send("/healthz", false)?;
+            client.read_response()
+        });
+        if matches!(answer, Ok((200, _))) {
+            return true;
         }
         std::thread::sleep(delay);
     }
@@ -341,13 +373,6 @@ impl Client {
             stream,
             buf: Vec::new(),
         })
-    }
-
-    fn from_stream(stream: TcpStream) -> Client {
-        Client {
-            stream,
-            buf: Vec::new(),
-        }
     }
 
     fn send(&mut self, target: &str, keep_alive: bool) -> Result<(), String> {
@@ -420,81 +445,62 @@ pub fn replay(
     let failures = AtomicU64::new(0);
     let identity_failures = AtomicU64::new(0);
     let body_bytes = AtomicU64::new(0);
+    let totals = (&failures, &identity_failures, &body_bytes);
     let started = Instant::now();
-    let mut lanes: Vec<Vec<u64>> = Vec::new();
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let failures = &failures;
-            let identity_failures = &identity_failures;
-            let body_bytes = &body_bytes;
-            handles.push(scope.spawn(move || {
-                let mut latencies = Vec::new();
-                let mut client: Option<Client> = None;
-                let mut on_conn = 0u64;
-                for target in plan.iter().skip(w).step_by(workers) {
-                    if on_conn >= REQUESTS_PER_CONNECTION {
-                        client = None;
-                    }
-                    let t0 = Instant::now();
-                    let outcome = exchange(
-                        &mut client,
-                        &mut on_conn,
-                        &cfg.addr,
-                        cfg.read_timeout_ms,
-                        target,
-                    );
-                    match outcome {
-                        Ok((status, body)) => {
-                            latencies.push(t0.elapsed().as_micros() as u64);
-                            body_bytes.fetch_add(body.len() as u64, Ordering::Relaxed);
-                            if let Some((want_status, want_body)) = expected.get(target) {
-                                if status != *want_status || body != *want_body {
-                                    identity_failures.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            latencies.push(t0.elapsed().as_micros() as u64);
-                            failures.fetch_add(1, Ordering::Relaxed);
+    let latencies: Vec<u64> = std::thread::scope(|scope| {
+        let lanes: Vec<_> = (0..workers)
+            .map(|w| {
+                let (failures, identity_failures, body_bytes) = totals;
+                scope.spawn(move || {
+                    let mut latencies = Vec::new();
+                    let mut client: Option<Client> = None;
+                    let mut on_conn = 0u64;
+                    for target in plan.iter().skip(w).step_by(workers) {
+                        if on_conn >= REQUESTS_PER_CONNECTION {
                             client = None;
                         }
+                        let t0 = Instant::now();
+                        let outcome = exchange(
+                            &mut client,
+                            &mut on_conn,
+                            &cfg.addr,
+                            cfg.read_timeout_ms,
+                            target,
+                        );
+                        latencies.push(t0.elapsed().as_micros() as u64);
+                        match outcome {
+                            Ok((status, body)) => {
+                                body_bytes.fetch_add(body.len() as u64, Ordering::Relaxed);
+                                if let Some((want_status, want_body)) = expected.get(target) {
+                                    if status != *want_status || body != *want_body {
+                                        identity_failures.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                }
+                            }
+                            Err(_) => {
+                                failures.fetch_add(1, Ordering::Relaxed);
+                                client = None;
+                            }
+                        }
                     }
-                }
-                latencies
-            }));
-        }
-        for handle in handles {
-            if let Ok(latencies) = handle.join() {
-                lanes.push(latencies);
-            }
-        }
+                    latencies
+                })
+            })
+            .collect();
+        let joined = lanes.into_iter().filter_map(|lane| lane.join().ok());
+        joined.flatten().collect()
     });
-
     let elapsed = started.elapsed();
-    let mut latencies: Vec<u64> = lanes.into_iter().flatten().collect();
     if latencies.is_empty() {
         return Err(format!("no request completed against {}", cfg.addr));
     }
-    latencies.sort_unstable();
-    let requests = latencies.len() as u64;
-    let pct = |p: u64| latencies[((requests - 1) * p / 100) as usize];
-    let secs = elapsed.as_secs_f64();
-    Ok(LoadReport {
-        requests,
-        failures: failures.load(Ordering::Relaxed),
-        identity_failures: identity_failures.load(Ordering::Relaxed),
-        p50_us: pct(50),
-        p99_us: pct(99),
-        elapsed_ms: elapsed.as_millis() as u64,
-        throughput_rps: if secs > 0.0 {
-            requests as f64 / secs
-        } else {
-            requests as f64
-        },
-        body_bytes: body_bytes.load(Ordering::Relaxed),
-    })
+    Ok(LoadReport::new(
+        latencies,
+        elapsed,
+        failures.load(Ordering::Relaxed),
+        identity_failures.load(Ordering::Relaxed),
+        body_bytes.load(Ordering::Relaxed),
+    ))
 }
 
 /// One request over a (re)usable keep-alive connection, reconnecting
@@ -606,31 +612,13 @@ pub fn run_smoke(
             std::fs::write(&path, &body).map_err(|e| format!("cannot write {path}: {e}"))?;
         }
     }
-    let elapsed = started.elapsed();
-    latencies.sort_unstable();
-    let requests = latencies.len() as u64;
-    let pct = |p: u64| {
-        if requests == 0 {
-            0
-        } else {
-            latencies[((requests - 1) * p / 100) as usize]
-        }
-    };
-    let secs = elapsed.as_secs_f64();
-    Ok(LoadReport {
-        requests,
-        failures: 0,
+    Ok(LoadReport::new(
+        latencies,
+        started.elapsed(),
+        0,
         identity_failures,
-        p50_us: pct(50),
-        p99_us: pct(99),
-        elapsed_ms: elapsed.as_millis() as u64,
-        throughput_rps: if secs > 0.0 {
-            requests as f64 / secs
-        } else {
-            requests as f64
-        },
         body_bytes,
-    })
+    ))
 }
 
 #[cfg(test)]
@@ -696,6 +684,30 @@ mod tests {
     }
 
     #[test]
+    fn reports_take_percentiles_and_the_maximum_from_one_sort() {
+        let latencies = (1..=200).rev().collect();
+        let report = LoadReport::new(latencies, Duration::from_millis(400), 3, 1, 64);
+        assert_eq!((report.requests, report.failures), (200, 3));
+        assert_eq!((report.identity_failures, report.body_bytes), (1, 64));
+        assert_eq!(
+            (report.p50_us, report.p99_us, report.max_us),
+            (100, 198, 200)
+        );
+        assert_eq!(report.elapsed_ms, 400);
+        assert_eq!(report.throughput_rps, 500.0);
+        assert!(report
+            .summary()
+            .contains("p50 100 us, p99 198 us, max 200 us"));
+        assert!(report.to_json().contains("\"max_us\": 200"));
+
+        let empty = LoadReport::new(Vec::new(), Duration::ZERO, 0, 0, 0);
+        assert_eq!(
+            (empty.p50_us, empty.max_us, empty.throughput_rps),
+            (0, 0, 0.0)
+        );
+    }
+
+    #[test]
     fn smoke_set_is_fixed_and_named() {
         let (state, _) = state();
         let queries = smoke_queries(&state.snapshot.clean, &state.snapshot.table);
@@ -752,6 +764,7 @@ mod tests {
         let smoke = run_smoke(&cfg, &offline, &traffic, tmp.to_str()).unwrap();
         assert_eq!(smoke.identity_failures, 0);
         assert_eq!(smoke.requests, 6);
+        assert!(smoke.max_us >= smoke.p99_us);
         let stats_dump = std::fs::read(tmp.join("stats.body")).unwrap();
         assert_eq!(
             stats_dump,

@@ -1,18 +1,19 @@
-//! The accept loop: non-blocking accepts drained in batches onto the
-//! `tagdist-par` worker pool, every connection served from a pinned
-//! epoch.
+//! The server: a fixed set of workers, each blocking in `accept` on
+//! the shared listener and serving one connection at a time, with the
+//! epoch pinned per request.
 //!
 //! # Read path
 //!
-//! The server never holds a lock while answering. Each loop iteration
-//! polls the [`SnapshotCell`] (one mutex-guarded `Arc` clone — the
-//! same cost a reader of the ingest engine pays); when the published
-//! epoch changes, it derives a fresh [`ServeState`] (signature-tag
-//! index + key index) and swaps its local `Arc`. Connections clone
-//! that `Arc` — *pinning* the epoch — and keep it for their whole
-//! lifetime, so an `--ingest` crawl or a `--watch` reload can publish
-//! new epochs under live traffic while in-flight requests keep reading
-//! a consistent, immutable state.
+//! Before each request a worker *pins* the epoch: under one shared
+//! mutex it loads the [`SnapshotCell`] and, if the published epoch
+//! moved, builds its [`ServeState`] in place of the old one; then it
+//! clones the state's `Arc` and answers from it with no lock held. A
+//! request read after [`SnapshotCell::store`] returns is answered from
+//! the stored epoch, so a keep-alive client sees each new epoch on its
+//! next request, and two requests on one connection may answer from
+//! different epochs. A slow or idle client holds only its own worker;
+//! with one worker (`TAGDIST_THREADS=1`) it holds the server until its
+//! read timeout.
 //!
 //! # Determinism at the socket
 //!
@@ -25,9 +26,9 @@
 
 use std::borrow::Cow;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use tagdist::geo::{GeoDist, TrafficModel};
@@ -40,18 +41,15 @@ use crate::http::{percent_decode, write_response, RequestReader};
 use crate::keys::KeyIndex;
 use crate::query;
 
-/// How many ready connections one loop iteration drains, per pool
-/// thread. Connections beyond the batch wait in the OS backlog.
-const ACCEPTS_PER_THREAD: usize = 4;
-
-/// Idle nap between empty accept polls.
+/// The coordinator's tick: how often the thread that called
+/// [`Server::run`] re-reads the shutdown flag.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
 /// The default per-connection read timeout.
 pub const DEFAULT_READ_TIMEOUT_MS: u64 = 5_000;
 
-/// Accept-loop iterations between `--watch` stat polls (iterations are
-/// ~1 ms when idle, so ~4 polls per second).
+/// Coordinator ticks between `--watch` stat polls (~4 polls per
+/// second).
 const WATCH_POLL_ITERATIONS: u64 = 256;
 
 /// Derived per-epoch read state: the pinned snapshot plus the two
@@ -179,9 +177,10 @@ pub struct ServeStats {
     pub connections: AtomicU64,
     /// Requests parsed and routed.
     pub requests: AtomicU64,
-    /// Epoch pins taken (one per connection).
+    /// Epoch pins taken (one per request answered from epoch state;
+    /// `/metrics` pins nothing).
     pub epoch_pins: AtomicU64,
-    /// Epoch flips observed by the accept loop.
+    /// Epoch flips observed by the workers.
     pub epoch_flips: AtomicU64,
     /// Total response bytes written (heads + bodies).
     pub bytes_written: AtomicU64,
@@ -200,29 +199,18 @@ impl ServeStats {
     pub fn record_obs(&self, parent: &SpanGuard) {
         let span = parent.child("serve");
         let obs = span.recorder();
-        obs.add(
-            "serve.connections",
-            self.connections.load(Ordering::Relaxed),
-        );
-        obs.add("serve.requests", self.requests.load(Ordering::Relaxed));
-        obs.add("serve.epoch_pins", self.epoch_pins.load(Ordering::Relaxed));
-        obs.add(
-            "serve.epoch_flips",
-            self.epoch_flips.load(Ordering::Relaxed),
-        );
-        obs.add(
-            "serve.bytes_written",
-            self.bytes_written.load(Ordering::Relaxed),
-        );
-        obs.add(
-            "serve.http_errors",
-            self.http_errors.load(Ordering::Relaxed),
-        );
-        obs.add("serve.reloads", self.reloads.load(Ordering::Relaxed));
-        obs.add(
-            "serve.reload_errors",
-            self.reload_errors.load(Ordering::Relaxed),
-        );
+        for (name, counter) in [
+            ("serve.connections", &self.connections),
+            ("serve.requests", &self.requests),
+            ("serve.epoch_pins", &self.epoch_pins),
+            ("serve.epoch_flips", &self.epoch_flips),
+            ("serve.bytes_written", &self.bytes_written),
+            ("serve.http_errors", &self.http_errors),
+            ("serve.reloads", &self.reloads),
+            ("serve.reload_errors", &self.reload_errors),
+        ] {
+            obs.add(name, counter.load(Ordering::Relaxed));
+        }
     }
 
     /// The live counters as the obs JSON tree — the `/metrics` body.
@@ -247,7 +235,7 @@ pub struct ServerConfig {
     pub watch: Option<String>,
 }
 
-/// A bound listener plus everything the accept loop reads from.
+/// A bound listener plus everything the workers read from.
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
@@ -297,103 +285,126 @@ impl Server {
         Arc::clone(&self.stats)
     }
 
-    /// Runs the accept loop until `shutdown` goes true: drain ready
-    /// connections, dispatch the batch onto `pool`, repeat. Returns
-    /// cleanly on shutdown — the CI lane asserts exit code 0 after
-    /// `kill -TERM`.
+    /// Serves until `shutdown` goes true, and returns cleanly then —
+    /// the CI lane asserts exit code 0 after `kill -TERM`.
+    ///
+    /// The calling thread is the coordinator: it waits for the first
+    /// published epoch (connections queue in the OS backlog until
+    /// then), starts one worker per `pool` thread, and runs the
+    /// `--watch` poll until shutdown. A reload publishes the file as
+    /// the next epoch while the workers keep answering; a failed one
+    /// keeps the old epoch serving.
     ///
     /// # Errors
     ///
-    /// Returns a message when the listener cannot enter non-blocking
-    /// mode. Per-connection failures never abort the loop.
+    /// Returns a message when a worker thread cannot be started.
+    /// Per-connection failures never stop the server.
     pub fn run(&self, pool: &Pool, shutdown: &AtomicBool) -> Result<(), String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set non-blocking accept: {e}"))?;
         let read_timeout = match self.config.read_timeout_ms {
             0 => DEFAULT_READ_TIMEOUT_MS,
             ms => ms,
         };
-        let batch_limit = pool.threads().max(1) * ACCEPTS_PER_THREAD;
-        let mut state: Option<Arc<ServeState>> = None;
-        let mut watch_mtime = self.config.watch.as_deref().and_then(mtime_of);
-        let mut iteration: u64 = 0;
-
-        while !shutdown.load(Ordering::SeqCst) {
-            iteration = iteration.wrapping_add(1);
-
-            // Epoch flip check: one Arc clone under the cell's mutex.
+        let first = loop {
+            if shutdown.load(Ordering::SeqCst) {
+                return Ok(());
+            }
             if let Some(snapshot) = self.cell.load() {
-                let stale = state
-                    .as_ref()
-                    .is_none_or(|s| s.snapshot.epoch != snapshot.epoch);
-                if stale {
-                    if state.is_some() {
-                        self.stats.epoch_flips.fetch_add(1, Ordering::Relaxed);
-                    }
-                    state = Some(Arc::new(ServeState::build(
-                        snapshot,
-                        self.traffic.distribution(),
-                    )));
-                }
+                break snapshot;
             }
-
-            // --watch: poll the file's mtime every few hundred
-            // iterations; on change, re-sniff and publish a new epoch.
-            // A failed reload keeps the old epoch serving.
-            if iteration % WATCH_POLL_ITERATIONS == 0 {
-                if let Some(path) = self.config.watch.as_deref() {
-                    let modified = mtime_of(path);
-                    if modified.is_some() && modified != watch_mtime {
-                        watch_mtime = modified;
-                        let epoch = state.as_ref().map_or(0, |s| s.snapshot.epoch);
-                        match reload(path, epoch + 1, &self.traffic) {
-                            Ok(snapshot) => {
-                                self.cell.store(snapshot);
-                                self.stats.reloads.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                self.stats.reload_errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
+            std::thread::sleep(IDLE_SLEEP);
+        };
+        let state = ServeState::build(first, self.traffic.distribution());
+        let current = Mutex::new(Arc::new(state));
+        // Stamped before any worker answers, so a file replaced after
+        // the first answer is always seen as a change.
+        let mut watch_mtime = self.config.watch.as_deref().and_then(mtime_of);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let mut started = 0;
+            let mut result = Ok(());
+            while result.is_ok() && started < pool.threads() {
+                result = std::thread::Builder::new()
+                    .spawn_scoped(scope, || self.worker(&current, &stop, read_timeout))
+                    .map(|_| started += 1)
+                    .map_err(|e| format!("cannot start a server worker: {e}"));
             }
-
-            let Some(current) = state.as_ref() else {
-                // Nothing published yet: nothing to answer from.
+            let mut tick: u64 = 0;
+            while result.is_ok() && !shutdown.load(Ordering::SeqCst) {
                 std::thread::sleep(IDLE_SLEEP);
-                continue;
-            };
-
-            // Drain ready connections into one batch.
-            let mut batch = Vec::new();
-            while batch.len() < batch_limit {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => batch.push(stream),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => break,
+                tick = tick.wrapping_add(1);
+                if tick % WATCH_POLL_ITERATIONS != 0 {
+                    continue;
+                }
+                let Some(path) = self.config.watch.as_deref() else {
+                    continue;
+                };
+                let modified = mtime_of(path);
+                if modified.is_none() || modified == watch_mtime {
+                    continue;
+                }
+                watch_mtime = modified;
+                let epoch = self.cell.load().map_or(0, |s| s.epoch);
+                let outcome = match reload(path, epoch + 1, &self.traffic) {
+                    Ok(snapshot) => {
+                        self.cell.store(snapshot);
+                        &self.stats.reloads
+                    }
+                    Err(_) => &self.stats.reload_errors,
+                };
+                outcome.fetch_add(1, Ordering::Relaxed);
+            }
+            // One connection per worker, so each worker parked in
+            // `accept` returns and sees `stop`. The flag alone would
+            // not do: the signal handler is installed with `signal()`,
+            // which restarts a blocked `accept`.
+            stop.store(true, Ordering::SeqCst);
+            if let Ok(mut addr) = self.listener.local_addr() {
+                if addr.ip().is_unspecified() {
+                    addr.set_ip(match addr {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                for _ in 0..started {
+                    let _ = TcpStream::connect(addr);
                 }
             }
-            if batch.is_empty() {
-                std::thread::sleep(IDLE_SLEEP);
-                continue;
-            }
-            self.stats
-                .connections
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            result
+        })
+    }
 
-            let traffic = &self.traffic;
-            let stats = &self.stats;
-            pool.par_map_heavy(&batch, |_, stream| {
-                // Each connection pins the epoch for its lifetime.
-                let pinned = Arc::clone(current);
-                stats.epoch_pins.fetch_add(1, Ordering::Relaxed);
-                handle_connection(stream, &pinned, traffic, stats, read_timeout);
-            });
+    /// One worker: accept a connection, serve it to completion, repeat
+    /// until `stop` is seen. The connections that wake it for shutdown
+    /// are not counted.
+    fn worker(&self, current: &Mutex<Arc<ServeState>>, stop: &AtomicBool, read_timeout_ms: u64) {
+        loop {
+            let accepted = self.listener.accept();
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            // Accept errors are per connection (aborted handshakes) or
+            // fd exhaustion, which clears as other workers close theirs.
+            if let Ok((stream, _peer)) = accepted {
+                self.stats.connections.fetch_add(1, Ordering::Relaxed);
+                handle_connection(&stream, self, current, read_timeout_ms);
+            }
         }
-        Ok(())
+    }
+
+    /// Pins the latest published epoch for one request. The cell is
+    /// read under `current`'s lock, so no worker swaps an older epoch
+    /// back in, and a new epoch's state is built once while the other
+    /// workers wait. A panicking build leaves the old state in place,
+    /// so a poisoned lock still guards a valid state.
+    fn pin(&self, current: &Mutex<Arc<ServeState>>) -> Arc<ServeState> {
+        let mut state = current.lock().unwrap_or_else(PoisonError::into_inner);
+        let published = self.cell.load();
+        if let Some(snapshot) = published.filter(|s| s.epoch != state.snapshot.epoch) {
+            *state = Arc::new(ServeState::build(snapshot, self.traffic.distribution()));
+            self.stats.epoch_flips.fetch_add(1, Ordering::Relaxed);
+        }
+        self.stats.epoch_pins.fetch_add(1, Ordering::Relaxed);
+        Arc::clone(&state)
     }
 }
 
@@ -416,22 +427,20 @@ fn reload(path: &str, epoch: u64, traffic: &TrafficModel) -> Result<Arc<EpochSna
 }
 
 /// Serves one connection to completion: requests in, responses out,
-/// until close/EOF/error. Never panics — a poisoned pool worker would
-/// take the whole server down, so every failure degrades to a 4xx or
-/// a close on *this* connection only.
+/// until close/EOF/error, each request answered from a fresh pin. Never
+/// panics — a panicking worker would stop accepting and make
+/// [`Server::run`] panic at shutdown, so every failure degrades to a
+/// 4xx or a close on *this* connection only.
 fn handle_connection(
     stream: &TcpStream,
-    state: &ServeState,
-    traffic: &TrafficModel,
-    stats: &ServeStats,
+    server: &Server,
+    current: &Mutex<Arc<ServeState>>,
     read_timeout_ms: u64,
 ) {
-    // Accepted sockets are blocking (O_NONBLOCK does not carry over
-    // from the listener on any tier-1 platform), but make it explicit
-    // and bound the read wait. Responses are written in one buffered
+    let stats = &server.stats;
+    // Bound the read wait. Responses are written in one buffered
     // burst, so Nagle buys nothing and costs a delayed-ACK stall
     // (~40ms per keep-alive round trip) — disable it.
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(read_timeout_ms.max(1))));
     let mut reader = RequestReader::new();
@@ -442,10 +451,12 @@ fn handle_connection(
             Ok(None) => break,
             Ok(Some(request)) => {
                 stats.requests.fetch_add(1, Ordering::Relaxed);
+                let pinned;
                 let (status, reason, body, content_type) = if request.target == "/metrics" {
                     (200, "OK", stats.metrics_json().into(), "application/json")
                 } else {
-                    let (status, reason, body) = state.respond(traffic, &request.target);
+                    pinned = server.pin(current);
+                    let (status, reason, body) = pinned.respond(&server.traffic, &request.target);
                     (status, reason, body, "text/plain; charset=utf-8")
                 };
                 match write_response(
@@ -494,11 +505,11 @@ fn handle_connection(
 mod tests {
     use super::*;
     use std::io::Read as _;
-    use tagdist::dataset::{filter, DatasetBuilder, RawPopularity};
+    use std::path::{Path, PathBuf};
+    use tagdist::dataset::{filter, write_binary, Dataset, DatasetBuilder, RawPopularity};
     use tagdist::geo::world;
 
-    fn snapshot(videos: usize, epoch: u64) -> Arc<EpochSnapshot> {
-        let traffic = TrafficModel::reference(world());
+    fn dataset(videos: usize) -> Dataset {
         let cc = world().len();
         let mut b = DatasetBuilder::new(cc);
         for i in 0..videos {
@@ -514,7 +525,12 @@ mod tests {
                 RawPopularity::decode(raw, cc),
             );
         }
-        let clean = filter(&b.build());
+        b.build()
+    }
+
+    fn snapshot(videos: usize, epoch: u64) -> Arc<EpochSnapshot> {
+        let traffic = TrafficModel::reference(world());
+        let clean = filter(&dataset(videos));
         Arc::new(EpochSnapshot::rebuild(epoch, clean, traffic.distribution()).unwrap())
     }
 
@@ -647,19 +663,21 @@ mod tests {
         std::thread::JoinHandle<Result<(), String>>,
     );
 
-    /// Boots a real server on an ephemeral port against `cell`.
+    /// Boots a real server on an ephemeral port against `cell`, with
+    /// two workers.
     fn boot(cell: Arc<SnapshotCell>) -> Booted {
-        let traffic = TrafficModel::reference(world());
-        let server = Server::bind(
-            "127.0.0.1:0",
+        boot_with(
             cell,
-            traffic,
             ServerConfig {
                 read_timeout_ms: 200,
                 watch: None,
             },
         )
-        .unwrap();
+    }
+
+    fn boot_with(cell: Arc<SnapshotCell>, config: ServerConfig) -> Booted {
+        let traffic = TrafficModel::reference(world());
+        let server = Server::bind("127.0.0.1:0", cell, traffic, config).unwrap();
         let addr = server.local_addr().unwrap();
         let stats = server.stats();
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -678,6 +696,191 @@ mod tests {
         stream.read_to_string(&mut raw).unwrap();
         let (head, body) = raw.split_once("\r\n\r\n").unwrap();
         (head.to_owned(), body.to_owned())
+    }
+
+    /// One `Connection: close` request from a client that gives up
+    /// after `timeout` without an answer.
+    fn get_within(addr: SocketAddr, target: &str, timeout: Duration) -> Result<String, String> {
+        let mut stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
+        stream.set_read_timeout(Some(timeout)).unwrap();
+        write!(stream, "GET {target} HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        stream
+            .read_to_string(&mut raw)
+            .map_err(|e| format!("no answer within {timeout:?}: {e}"))?;
+        raw.split_once("\r\n\r\n")
+            .map(|(_, body)| body.to_owned())
+            .ok_or_else(|| format!("malformed response {raw:?}"))
+    }
+
+    /// One request on a keep-alive connection; returns the body and
+    /// leaves the connection open.
+    fn keep_alive_get(stream: &mut TcpStream, target: &str) -> String {
+        write!(stream, "GET {target} HTTP/1.1\r\n\r\n").unwrap();
+        let mut head = Vec::new();
+        while !head.ends_with(b"\r\n\r\n") {
+            let mut byte = [0u8];
+            stream.read_exact(&mut byte).unwrap();
+            head.push(byte[0]);
+        }
+        let head = String::from_utf8(head).unwrap();
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .unwrap()
+            .parse()
+            .unwrap();
+        let mut body = vec![0u8; length];
+        stream.read_exact(&mut body).unwrap();
+        String::from_utf8(body).unwrap()
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        for _ in 0..2_000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        panic!("timed out waiting for {what}");
+    }
+
+    #[test]
+    fn idle_and_trickling_clients_do_not_stall_other_clients() {
+        let cell = Arc::new(SnapshotCell::new());
+        cell.store(snapshot(60, 1));
+        let config = ServerConfig {
+            read_timeout_ms: 30_000,
+            watch: None,
+        };
+        let (addr, shutdown, stats, handle) = boot_with(cell, config);
+        let patient = Duration::from_secs(2);
+
+        // Answered once, then silent: its worker waits out the 30 s
+        // read timeout for the next request.
+        let mut idle = TcpStream::connect(addr).unwrap();
+        assert_eq!(keep_alive_get(&mut idle, "/healthz"), "ok epoch 1\n");
+        assert_eq!(
+            get_within(addr, "/healthz", patient),
+            Ok("ok epoch 1\n".to_owned())
+        );
+        drop(idle);
+
+        // Answered once, then sends its next request a byte every
+        // 100 ms. (Both kinds at once would hold both workers.)
+        let mut trickle = TcpStream::connect(addr).unwrap();
+        assert_eq!(keep_alive_get(&mut trickle, "/healthz"), "ok epoch 1\n");
+        let done = AtomicBool::new(false);
+        let answer = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for byte in b"GET /healthz HTTP/1.1\r\n" {
+                    if done.load(Ordering::SeqCst) || trickle.write_all(&[*byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            });
+            let answer = get_within(addr, "/healthz", patient);
+            done.store(true, Ordering::SeqCst);
+            answer
+        });
+        assert_eq!(answer, Ok("ok epoch 1\n".to_owned()));
+        drop(trickle);
+
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap().unwrap();
+        assert_eq!(stats.connections.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_keep_alive_connection_answers_each_request_from_the_latest_epoch() {
+        let cell = Arc::new(SnapshotCell::new());
+        cell.store(snapshot(60, 1));
+        let (addr, shutdown, stats, handle) = boot(Arc::clone(&cell));
+
+        let mut conn = TcpStream::connect(addr).unwrap();
+        assert_eq!(keep_alive_get(&mut conn, "/healthz"), "ok epoch 1\n");
+        cell.store(snapshot(90, 2));
+        assert_eq!(keep_alive_get(&mut conn, "/healthz"), "ok epoch 2\n");
+        drop(conn);
+
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap().unwrap();
+        assert_eq!(stats.connections.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.epoch_pins.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.epoch_flips.load(Ordering::Relaxed), 1);
+    }
+
+    /// Replaces `path` the supported way: write a sibling, then rename
+    /// it over the served file.
+    fn replace(path: &Path, bytes: &[u8]) {
+        let staged = path.with_extension("staged");
+        std::fs::write(&staged, bytes).unwrap();
+        std::fs::rename(&staged, path).unwrap();
+    }
+
+    fn corpus_bytes(videos: usize) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_binary(&dataset(videos), &mut bytes).unwrap();
+        bytes
+    }
+
+    /// A `--watch` server over a fresh `corpus.bin` of 60 videos,
+    /// published as epoch 1.
+    fn boot_watching(name: &str) -> (PathBuf, Booted) {
+        let dir = std::env::temp_dir().join(format!("tagdist-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus.bin");
+        replace(&path, &corpus_bytes(60));
+        let traffic = TrafficModel::reference(world());
+        let clean = query::load_clean(path.to_str().unwrap()).unwrap();
+        let cell = Arc::new(SnapshotCell::new());
+        cell.store(Arc::new(
+            EpochSnapshot::rebuild(1, clean, traffic.distribution()).unwrap(),
+        ));
+        let config = ServerConfig {
+            read_timeout_ms: 200,
+            watch: Some(path.to_str().unwrap().to_owned()),
+        };
+        let booted = boot_with(cell, config);
+        assert_eq!(get(booted.0, "/healthz").1, "ok epoch 1\n");
+        (path, booted)
+    }
+
+    #[test]
+    fn watch_publishes_a_renamed_replacement_as_the_next_epoch() {
+        let (path, (addr, shutdown, stats, handle)) = boot_watching("watch-rename");
+        replace(&path, &corpus_bytes(90));
+        wait_for("the reload", || get(addr, "/healthz").1 == "ok epoch 2\n");
+        let reloaded = query::load_clean(path.to_str().unwrap()).unwrap();
+        assert_eq!(get(addr, "/stats").1, query::stats_body(&reloaded));
+
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap().unwrap();
+        assert_eq!(stats.reloads.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.reload_errors.load(Ordering::Relaxed), 0);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn watch_rejects_a_torn_rewrite_and_keeps_the_old_epoch() {
+        let (path, (addr, shutdown, stats, handle)) = boot_watching("watch-torn");
+        let served = get(addr, "/stats").1;
+        // Cut inside the section table, in section 4's checksum: the
+        // magic line, four u32 counts, three whole 28-byte entries and
+        // 20 bytes of the fourth.
+        let cut = b"#tagdist-dataset bin v1\n".len() + 16 + 3 * 28 + 20;
+        replace(&path, &corpus_bytes(90)[..cut]);
+        wait_for("the failed reload", || {
+            stats.reload_errors.load(Ordering::Relaxed) == 1
+        });
+        assert_eq!(get(addr, "/healthz").1, "ok epoch 1\n");
+        assert_eq!(get(addr, "/stats").1, served);
+
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap().unwrap();
+        assert_eq!(stats.reloads.load(Ordering::Relaxed), 0);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! SIGTERM/SIGINT → a graceful-shutdown flag the accept loop polls.
+//! SIGTERM/SIGINT → a graceful-shutdown flag the server polls.
 //!
 //! The CI serve-oracle lane asserts that `kill -TERM` produces a clean
 //! exit (code 0) — which requires actually catching the signal. `std`
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// The process-wide shutdown flag the handler stores into.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// The flag [`install`] wires SIGTERM/SIGINT to. Accept loops poll it;
+/// The flag [`install`] wires SIGTERM/SIGINT to. Servers poll it;
 /// anything (tests included) may set it directly to request shutdown.
 pub fn shutdown_flag() -> &'static AtomicBool {
     &SHUTDOWN

@@ -230,9 +230,9 @@ fn tag_view_totals_are_thread_count_invariant() {
 /// the worker-pool size.
 #[test]
 fn columnar_and_record_reports_are_byte_identical_across_threads() {
-    use std::fmt::Write as _;
     use tagdist::dataset::{binfmt, decode_any, filter, filter_columnar, write_binary};
     use tagdist::reconstruct::{Reconstruction, TagViewTable};
+    use tagdist_serve::query::ingest_report_body;
 
     let platform = Platform::generate(tiny(11));
     let mut cfg = CrawlConfig::default();
@@ -242,15 +242,8 @@ fn columnar_and_record_reports_are_byte_identical_across_threads() {
     write_binary(&outcome.dataset, &mut bin).unwrap();
     let traffic = platform.true_traffic();
 
-    // Exact text rendering: `{:?}` on f64 round-trips every bit, so
-    // string equality below is bit equality of the aggregates.
-    let render = |table: &TagViewTable| {
-        let mut out = String::new();
-        for (tag, views) in table.iter() {
-            writeln!(out, "{}\t{views:?}", tag.index()).unwrap();
-        }
-        out
-    };
+    // The ingest report writes every cell as its f64 bits, so string
+    // equality below is bit equality of the aggregates.
     let run = |columnar: bool| {
         let clean = if columnar {
             let view = binfmt::decode_borrowed(&bin).unwrap();
@@ -259,7 +252,7 @@ fn columnar_and_record_reports_are_byte_identical_across_threads() {
             filter(&decode_any(&bin).unwrap())
         };
         let recon = Reconstruction::compute(&clean, traffic).unwrap();
-        render(&TagViewTable::aggregate(&clean, &recon))
+        ingest_report_body(&clean, &TagViewTable::aggregate(&clean, &recon))
     };
 
     std::env::set_var(THREADS_ENV, "1");
@@ -288,26 +281,18 @@ fn columnar_and_record_reports_are_byte_identical_across_threads() {
 /// saves, and both sides are invariant to the worker-pool size.
 #[test]
 fn incremental_ingest_equals_cold_rebuild_across_threads() {
-    use std::fmt::Write as _;
     use tagdist::crawler::crawl_parallel_with_batches;
     use tagdist::dataset::filter;
     use tagdist::reconstruct::{EpochSnapshot, IngestEngine, Reconstruction, TagViewTable};
+    use tagdist_serve::query::ingest_report_body;
 
     let platform = Platform::generate(tiny(11));
     let mut cfg = CrawlConfig::default();
     cfg.with_budget(600);
     let traffic = platform.true_traffic();
 
-    // Exact text rendering: `{:?}` on f64 round-trips every bit, so
-    // string equality below is bit equality of the whole state.
-    let render = |clean: &tagdist::dataset::CleanDataset, table: &TagViewTable| {
-        let mut out = String::new();
-        writeln!(out, "{}", clean.report()).unwrap();
-        for (tag, views) in table.iter() {
-            writeln!(out, "{}\t{views:?}", tag.index()).unwrap();
-        }
-        out
-    };
+    // The ingest report writes every cell as its f64 bits, so string
+    // equality below is bit equality of the whole state.
     let incremental = || {
         let mut engine = IngestEngine::new(traffic.clone());
         let mut error = None;
@@ -323,13 +308,16 @@ fn incremental_ingest_equals_cold_rebuild_across_threads() {
         assert_eq!(error, None, "ingest must absorb every batch");
         let snapshot: std::sync::Arc<EpochSnapshot> = engine.cell().load().unwrap();
         assert!(engine.epoch() > 1, "crawl must stream several batches");
-        (render(&snapshot.clean, &snapshot.table), outcome.dataset)
+        (
+            ingest_report_body(&snapshot.clean, &snapshot.table),
+            outcome.dataset,
+        )
     };
     let cold = |dataset: &tagdist::dataset::Dataset| {
         let clean = filter(dataset);
         let recon = Reconstruction::compute(&clean, traffic).unwrap();
         let table = TagViewTable::aggregate(&clean, &recon);
-        render(&clean, &table)
+        ingest_report_body(&clean, &table)
     };
 
     std::env::set_var(THREADS_ENV, "1");

@@ -228,7 +228,6 @@ fn killed_and_resumed_crawl_is_byte_identical() {
 /// streamed the uninterrupted crawl, and to a cold rebuild.
 #[test]
 fn killed_and_resumed_ingest_is_byte_identical() {
-    use std::fmt::Write as _;
     use tagdist::crawler::{crawl_parallel_stepwise, crawl_parallel_with_batches};
     use tagdist::reconstruct::{EpochSnapshot, IngestEngine};
 
@@ -240,15 +239,9 @@ fn killed_and_resumed_ingest_is_byte_identical() {
     let crawl_cfg = CrawlConfig::default();
     let traffic = make_platform().true_traffic().clone();
 
-    // Exact text rendering: `{:?}` on f64 round-trips every bit.
-    let render = |s: &EpochSnapshot| {
-        let mut out = String::new();
-        writeln!(out, "{}", s.clean.report()).unwrap();
-        for (tag, views) in s.table.iter() {
-            writeln!(out, "{}\t{views:?}", tag.index()).unwrap();
-        }
-        out
-    };
+    // The ingest report writes every cell as its f64 bits, so string
+    // equality is bit equality of the whole state.
+    let render = |s: &EpochSnapshot| tagdist_serve::query::ingest_report_body(&s.clean, &s.table);
     let feed = |engine: &mut IngestEngine, resume| {
         let platform = make_platform();
         crawl_parallel_with_batches(&platform, &crawl_cfg, resume, |dataset, from| {
@@ -342,7 +335,7 @@ mod serve_degradation {
         Arc::new(EpochSnapshot::rebuild(epoch, clean, traffic.distribution()).unwrap())
     }
 
-    /// A live server over `cell`, with its accept loop on a background
+    /// A live server over `cell`, running on a background
     /// thread. Dropping the guard without `shutdown()` would leak the
     /// thread, so every test ends with `shutdown()`.
     struct Live {
