@@ -615,7 +615,9 @@ fn video<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args.positional(0, "dataset file")?;
     let key = args.positional(1, "video key")?;
     let epoch = cold_epoch(path, &TrafficModel::reference(world()))?;
-    let pos = query::find_video(&epoch.clean, key)
+    let pos = epoch
+        .clean
+        .position_of(key)
         .ok_or_else(|| query::QueryError::UnknownVideo(key.to_owned()).to_string())?;
     let body = query::video_body(&epoch.clean, &epoch.recon, pos).map_err(|e| e.to_string())?;
     write!(out, "{body}").map_err(|e| e.to_string())

@@ -33,6 +33,15 @@
 //! and equality compares row by row, so segment boundaries are
 //! invisible to callers.
 //!
+//! Two whole-corpus indices sit beside the segments: the tag→video
+//! postings and a key index of `(fnv1a(key), position)` pairs sorted
+//! by hash, which [`position_of`](CleanDataset::position_of) searches.
+//! A cold build counting-sorts the postings and sorts the keys. A
+//! streamed snapshot extends the previous snapshot's indices instead:
+//! it copies each tag's run and merges the sorted keys, and it inverts
+//! and hashes only the segments sealed since. Both paths run one
+//! kernel, so their indices are equal.
+//!
 //! Two entry points build the same structure: [`filter`] from a
 //! record-oriented [`Dataset`], and [`filter_columnar`] straight from
 //! any [`ColumnarRead`] source (an owned
@@ -47,6 +56,7 @@ use std::sync::Arc;
 
 use tagdist_geo::PopularityView;
 
+use crate::binfmt::fnv1a;
 use crate::columnar::{ColumnarRead, POP_VALID};
 use crate::dataset::Dataset;
 use crate::record::VideoId;
@@ -130,6 +140,9 @@ pub struct CleanDataset {
     /// Flat tag→video postings: positions of retained videos carrying
     /// each tag, in dataset order.
     postings: Vec<u32>,
+    /// `(fnv1a(key), position)` of every retained video, ascending: the
+    /// key index [`position_of`](CleanDataset::position_of) searches.
+    keys: Vec<(u64, u32)>,
     country_count: usize,
     report: FilterReport,
     /// Computed once at construction (printed per run; hot in report
@@ -151,6 +164,7 @@ impl PartialEq for CleanDataset {
             tags,
             posting_rows,
             postings,
+            keys,
             country_count,
             report,
             unique_tags,
@@ -160,6 +174,7 @@ impl PartialEq for CleanDataset {
             && *tags == other.tags
             && *posting_rows == other.posting_rows
             && *postings == other.postings
+            && *keys == other.keys
             && *country_count == other.country_count
             && *report == other.report
             && *unique_tags == other.unique_tags
@@ -214,6 +229,25 @@ impl CleanDataset {
             return &[];
         }
         &self.postings[self.posting_rows[t]..self.posting_rows[t + 1]]
+    }
+
+    /// Position of the retained video keyed `key`, or `None` if no
+    /// retained video has that key.
+    ///
+    /// Binary-searches the key index to the run of entries sharing
+    /// `key`'s hash and confirms each candidate against the stored key,
+    /// in position order, so hash collisions resolve exactly. Should
+    /// the dataset carry a key twice (a `bin v1` file may), the first
+    /// position answers, as the streamed ingest keeps a key's first
+    /// crawl.
+    pub fn position_of(&self, key: &str) -> Option<usize> {
+        let hash = fnv1a(key.as_bytes());
+        let start = self.keys.partition_point(|&(h, _)| h < hash);
+        self.keys[start..]
+            .iter()
+            .take_while(|&&(h, _)| h == hash)
+            .map(|&(_, pos)| pos as usize)
+            .find(|&pos| self.key_of(pos) == key)
     }
 
     /// Number of distinct tags attached to at least one retained video
@@ -515,11 +549,23 @@ impl CleanBuilder {
 
     /// Seals, then assembles a dataset that shares every sealed
     /// segment with this builder; further pushes go to a new segment.
-    pub(crate) fn snapshot(&mut self, tags: TagInterner) -> CleanDataset {
+    ///
+    /// `base`, a dataset an earlier snapshot of this builder returned,
+    /// is the prefix the postings and the key index extend, so only the
+    /// segments sealed since are inverted and hashed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base`'s segments are not a prefix of this builder's.
+    pub(crate) fn snapshot(
+        &mut self,
+        tags: TagInterner,
+        base: Option<&CleanDataset>,
+    ) -> CleanDataset {
         self.seal();
         let (segments, starts, views) =
             (self.sealed.clone(), self.starts.clone(), self.views.clone());
-        self.assemble(segments, starts, views, tags)
+        self.assemble(base, segments, starts, views, tags)
     }
 
     /// Seals and assembles the dataset (a cold build: one segment).
@@ -528,11 +574,21 @@ impl CleanBuilder {
         let segments = std::mem::take(&mut self.sealed);
         let starts = std::mem::take(&mut self.starts);
         let views = std::mem::take(&mut self.views);
-        self.assemble(segments, starts, views, tags)
+        self.assemble(None, segments, starts, views, tags)
     }
 
+    /// The one index kernel: the cold build is this with no `base`.
+    ///
+    /// Postings: each tag's run starts as a copy of its `base` run and
+    /// continues with a counting-sort scatter of the segments past
+    /// `base`, in dataset order. Those segments' positions all follow
+    /// `base`'s, so every run stays sorted by position and equals the
+    /// cold counting sort's. Keys: the new segments' `(hash, position)`
+    /// pairs are sorted and merged into `base`'s, the order a cold sort
+    /// of every pair gives, since no two pairs are equal.
     fn assemble(
         &self,
+        base: Option<&CleanDataset>,
         segments: Vec<Arc<Segment>>,
         starts: Vec<usize>,
         views: Vec<u64>,
@@ -542,14 +598,33 @@ impl CleanBuilder {
             u32::try_from(views.len()).is_ok(),
             "dataset position overflows the u32 posting space"
         );
+        let indexed = base.map_or(0, |base| {
+            assert!(
+                base.segments.len() <= segments.len()
+                    && base
+                        .segments
+                        .iter()
+                        .zip(&segments)
+                        .all(|(a, b)| Arc::ptr_eq(a, b))
+                    && base.tags.len() <= tags.len(),
+                "base is not a prefix of the dataset being assembled"
+            );
+            base.segments.len()
+        });
+        let (fresh, fresh_starts) = (&segments[indexed..], &starts[indexed..]);
 
-        // Invert the video→tag spine into tag→video postings with a
-        // counting sort: per-tag counts, prefix sums, then a fill in
-        // dataset order — so each posting list is sorted by position,
-        // matching the old per-tag `Vec::push` order exactly.
+        // A counting sort: per-tag counts (the base run plus the new
+        // postings) and prefix sums, then each base run copied to the
+        // head of its tag's run and the new postings filled in dataset
+        // order behind it.
         let tag_count = tags.len();
         let mut counts = vec![0usize; tag_count];
-        for tag in segments.iter().flat_map(|segment| &segment.tag_ids) {
+        if let Some(base) = base {
+            for (count, row) in counts.iter_mut().zip(base.posting_rows.windows(2)) {
+                *count = row[1] - row[0];
+            }
+        }
+        for tag in fresh.iter().flat_map(|segment| &segment.tag_ids) {
             counts[tag.index()] += 1;
         }
         let unique_tags = counts.iter().filter(|&&c| c > 0).count();
@@ -559,7 +634,14 @@ impl CleanBuilder {
         }
         let mut cursor = posting_rows.clone();
         let mut postings = vec![0u32; posting_rows[tag_count]];
-        for (segment, &start) in segments.iter().zip(&starts) {
+        if let Some(base) = base {
+            for (t, row) in base.posting_rows.windows(2).enumerate() {
+                let run = &base.postings[row[0]..row[1]];
+                postings[cursor[t]..cursor[t] + run.len()].copy_from_slice(run);
+                cursor[t] += run.len();
+            }
+        }
+        for (segment, &start) in fresh.iter().zip(fresh_starts) {
             for i in 0..segment.len() {
                 for tag in segment.tags(i) {
                     postings[cursor[tag.index()]] = (start + i) as u32;
@@ -567,6 +649,20 @@ impl CleanBuilder {
                 }
             }
         }
+
+        let mut fresh_keys: Vec<(u64, u32)> = fresh
+            .iter()
+            .zip(fresh_starts)
+            .flat_map(|(segment, &start)| {
+                (0..segment.len())
+                    .map(move |i| (fnv1a(segment.key(i).as_bytes()), (start + i) as u32))
+            })
+            .collect();
+        fresh_keys.sort_unstable();
+        let keys = match base {
+            Some(base) => merge_sorted(&base.keys, &fresh_keys),
+            None => fresh_keys,
+        };
 
         CleanDataset {
             segments,
@@ -579,11 +675,28 @@ impl CleanBuilder {
             tags,
             posting_rows,
             postings,
+            keys,
             country_count: self.country_count,
             unique_tags,
             total_views: self.total_views,
         }
     }
+}
+
+/// Merges two ascending runs: each entry of the (short) `fresh` run is
+/// placed by binary search, and the `base` entries between are copied
+/// as whole slices.
+fn merge_sorted(base: &[(u64, u32)], fresh: &[(u64, u32)]) -> Vec<(u64, u32)> {
+    let mut merged = Vec::with_capacity(base.len() + fresh.len());
+    let mut rest = base;
+    for &entry in fresh {
+        let split = rest.partition_point(|&e| e < entry);
+        merged.extend_from_slice(&rest[..split]);
+        merged.push(entry);
+        rest = &rest[split..];
+    }
+    merged.extend_from_slice(rest);
+    merged
 }
 
 /// Applies the paper's §2 filter to a raw crawl.
@@ -861,6 +974,117 @@ mod tests {
         let via_columns = filter_columnar(&c);
         assert_eq!(via_records, via_columns);
         assert_eq!(via_columns.report(), filter(&d).report());
+    }
+
+    /// `n` retained videos keyed `key-0`, `key-1`, ….
+    fn keyed(n: usize) -> CleanDataset {
+        let mut b = DatasetBuilder::new(2);
+        for i in 0..n {
+            let pop = RawPopularity::decode(vec![30, 61], 2);
+            b.push_video(&format!("key-{i}"), 100 + i as u64, &["t"], pop);
+        }
+        filter(&b.build())
+    }
+
+    #[test]
+    fn every_key_maps_to_its_position_and_unknown_keys_miss() {
+        let clean = keyed(500);
+        assert_eq!(clean.len(), 500);
+        for pos in 0..clean.len() {
+            assert_eq!(clean.position_of(clean.key_of(pos)), Some(pos));
+        }
+        for absent in ["", "key-500", "key-", "KEY-1", "key-1 "] {
+            assert_eq!(clean.position_of(absent), None, "{absent:?}");
+        }
+        let empty = keyed(0);
+        assert_eq!(empty.position_of(""), None);
+        assert_eq!(empty.position_of("key-0"), None);
+    }
+
+    #[test]
+    fn colliding_hashes_resolve_by_comparing_keys() {
+        // Every position filed under the hash of "key-3": the lookup
+        // must walk the whole run and confirm against the key pool.
+        let mut clean = keyed(8);
+        let shared = fnv1a(b"key-3");
+        let mut keys: Vec<(u64, u32)> = (0..8).map(|pos| (shared, pos)).collect();
+        // Neighbouring runs on both sides of the shared hash.
+        keys.insert(0, (shared - 1, 2));
+        keys.push((shared + 1, 4));
+        clean.keys = keys;
+        assert_eq!(clean.position_of("key-3"), Some(3));
+        // Same hash run, but no candidate's key matches.
+        clean.keys = (0..8).filter(|&p| p != 3).map(|p| (shared, p)).collect();
+        assert_eq!(clean.position_of("key-3"), None);
+        // Keys whose real hash is absent from the index miss.
+        assert_eq!(clean.position_of("key-0"), None);
+    }
+
+    /// A columnar source whose video `copy` repeats video `of`'s key —
+    /// the `bin v1` decoder does not reject duplicate keys, and
+    /// `filter_columnar` keeps both rows.
+    struct DuplicateKey {
+        inner: ColumnarDataset,
+        of: usize,
+        copy: usize,
+    }
+
+    impl ColumnarRead for DuplicateKey {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn country_count(&self) -> usize {
+            self.inner.country_count()
+        }
+        fn tag_count(&self) -> usize {
+            ColumnarRead::tag_count(&self.inner)
+        }
+        fn key(&self, i: usize) -> &str {
+            self.inner.key(if i == self.copy { self.of } else { i })
+        }
+        fn title(&self, i: usize) -> &str {
+            self.inner.title(i)
+        }
+        fn total_views(&self, i: usize) -> u64 {
+            self.inner.total_views(i)
+        }
+        fn tag_range(&self, i: usize) -> core::ops::Range<usize> {
+            ColumnarRead::tag_range(&self.inner, i)
+        }
+        fn tag_id(&self, k: usize) -> u32 {
+            ColumnarRead::tag_id(&self.inner, k)
+        }
+        fn pop_kind(&self, i: usize) -> u8 {
+            ColumnarRead::pop_kind(&self.inner, i)
+        }
+        fn pop_payload(&self, i: usize) -> &[u8] {
+            ColumnarRead::pop_payload(&self.inner, i)
+        }
+        fn tag_name(&self, t: usize) -> &str {
+            self.inner.tag_name(t)
+        }
+    }
+
+    #[test]
+    fn a_duplicated_key_answers_with_its_first_position() {
+        let mut b = DatasetBuilder::new(2);
+        for i in 0..6 {
+            let pop = RawPopularity::decode(vec![30, 61], 2);
+            b.push_video(&format!("key-{i}"), 100, &["t"], pop);
+        }
+        let inner = ColumnarDataset::from_dataset(&b.build()).unwrap();
+        let clean = filter_columnar(&DuplicateKey {
+            inner,
+            of: 1,
+            copy: 4,
+        });
+        assert_eq!(clean.key_of(1), clean.key_of(4));
+        for pos in 0..clean.len() {
+            let key = clean.key_of(pos);
+            let first = (0..clean.len()).find(|&p| clean.key_of(p) == key);
+            assert_eq!(clean.position_of(key), first, "{key:?}");
+        }
+        assert_eq!(clean.position_of("key-1"), Some(1));
     }
 
     #[test]

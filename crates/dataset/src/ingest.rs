@@ -13,7 +13,7 @@
 //!
 //! # The equivalence argument
 //!
-//! After any sequence of batches, `snapshot()` equals
+//! After any sequence of batches, `snapshot(…)` equals
 //! `filter(&concatenated)` — where *concatenated* is the one dataset a
 //! [`DatasetBuilder`](crate::dataset::DatasetBuilder) replay of every
 //! batch in order would build — field for field, because each
@@ -40,10 +40,14 @@
 //! * **columns** — the filter predicate (no tags → `no_tags`, else
 //!   unusable popularity → `bad_popularity`) runs per record in arrival
 //!   order, appending survivors through the same `CleanBuilder::push`
-//!   the cold path calls; `snapshot` seals them and rebuilds the
-//!   postings with the same counting sort over all segments, and
-//!   equality is row by row, so the segment boundaries a stream leaves
-//!   do not matter.
+//!   the cold path calls; `snapshot` seals them, and equality is row
+//!   by row, so the segment boundaries a stream leaves do not matter.
+//! * **indices** — `snapshot` extends the previous snapshot's postings
+//!   and key index by the newly sealed segment alone, with the kernel
+//!   a cold build runs over every segment. New videos take the next
+//!   positions, so each tag's new postings belong at the tail of its
+//!   run, and the new `(hash, position)` pairs merge into the sorted
+//!   keys where a cold sort of every pair puts them.
 
 use std::sync::Arc;
 
@@ -262,11 +266,18 @@ impl CleanIngest {
     /// The videos applied since the last snapshot are sealed into a new
     /// column segment; the snapshot shares every sealed segment with
     /// earlier snapshots and copies only the view column and the
-    /// interner, then rebuilds the postings with the counting sort a
-    /// cold [`filter`](crate::filter::filter) runs. It is equal to that
-    /// rebuild of the concatenated corpus, row for row.
-    pub fn snapshot(&mut self) -> CleanDataset {
-        self.builder.snapshot(self.tags.clone())
+    /// interner. `base` is the previous snapshot this ingest returned,
+    /// if the caller still holds it: the postings and the key index
+    /// then copy and extend `base`'s and index only the new segment.
+    /// Without it they are built over every segment, as a cold
+    /// [`filter`](crate::filter::filter) builds them. Either way the
+    /// result equals that cold filter of the concatenated corpus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is not a snapshot of this ingest.
+    pub fn snapshot(&mut self, base: Option<&CleanDataset>) -> CleanDataset {
+        self.builder.snapshot(self.tags.clone(), base)
     }
 }
 
@@ -428,7 +439,7 @@ mod tests {
         let delta = ingest.apply(&d);
         assert_eq!(delta.unique, 120);
         assert_eq!(delta.duplicates, 0);
-        assert_eq!(ingest.snapshot(), filter(&d));
+        assert_eq!(ingest.snapshot(None), filter(&d));
     }
 
     #[test]
@@ -451,7 +462,7 @@ mod tests {
             let delta = ingest.apply_from(&prefix, from);
             assert_eq!(delta.unique, to - from);
         }
-        assert_eq!(ingest.snapshot(), filter(&d));
+        assert_eq!(ingest.snapshot(None), filter(&d));
     }
 
     #[test]
@@ -465,7 +476,7 @@ mod tests {
         assert_eq!(mid.duplicates, 60);
         assert_eq!(mid.kept, 0);
         ingest.apply(&b);
-        assert_eq!(ingest.snapshot(), filter(&concat(&[&a, &a, &b])));
+        assert_eq!(ingest.snapshot(None), filter(&concat(&[&a, &a, &b])));
     }
 
     #[test]
@@ -474,9 +485,9 @@ mod tests {
         let b = corpus(40, 7);
         let mut ingest = CleanIngest::new(3);
         ingest.apply(&a);
-        let first = ingest.snapshot();
+        let first = ingest.snapshot(None);
         ingest.apply(&b);
-        let second = ingest.snapshot();
+        let second = ingest.snapshot(Some(&first));
         // Row 0 was sealed by the first snapshot; the second borrows
         // the same bytes instead of a copy.
         assert!(std::ptr::eq(first.key_of(0), second.key_of(0)));
@@ -486,7 +497,7 @@ mod tests {
         ));
         assert_eq!(second.segment_count(), 2);
         // A snapshot with nothing new seals no empty segment.
-        let third = ingest.snapshot();
+        let third = ingest.snapshot(Some(&second));
         assert_eq!(third.segment_count(), 2);
         assert_eq!(third, second);
         assert_eq!(second, filter(&concat(&[&a, &b])));
@@ -510,7 +521,7 @@ mod tests {
         let d = corpus(40, 2);
         let mut ingest = CleanIngest::new(3);
         ingest.apply(&d);
-        let snap = ingest.snapshot();
+        let snap = ingest.snapshot(None);
         assert_eq!(ingest.tag_count(), snap.tags().len());
         for pos in 0..snap.len() {
             assert_eq!(ingest.views_column()[pos], snap.views_column()[pos]);
@@ -537,7 +548,7 @@ mod tests {
         for d in [&a, &b, &c, &a] {
             ingest.apply(d);
         }
-        let snap = ingest.snapshot();
+        let snap = ingest.snapshot(None);
         let names = |pos: usize| -> Vec<&str> {
             snap.tags_of(pos)
                 .iter()
@@ -578,9 +589,81 @@ mod tests {
         let mut ingest = CleanIngest::new(3);
         let delta = ingest.apply(&empty);
         assert_eq!(delta, IngestDelta::default());
-        let snap = ingest.snapshot();
+        let snap = ingest.snapshot(None);
         assert!(snap.is_empty());
         assert_eq!(snap, filter(&empty));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a prefix")]
+    fn a_base_from_another_stream_panics() {
+        let mut other = CleanIngest::new(3);
+        other.apply(&corpus(10, 0));
+        let foreign = other.snapshot(None);
+        let mut ingest = CleanIngest::new(3);
+        ingest.apply(&corpus(10, 0));
+        let _ = ingest.snapshot(Some(&foreign));
+    }
+
+    /// A batch of one record per spec: `(key, tag count, popularity
+    /// kind)`. A key's tags depend on the key alone; kinds 0 and 1 are
+    /// a missing and an all-zero vector, so those records drop.
+    fn batch(specs: &[(usize, usize, u8)]) -> Dataset {
+        let mut b = DatasetBuilder::new(3);
+        for &(key, tags, kind) in specs {
+            let names: Vec<String> = (0..tags)
+                .map(|t| format!("t{}", (key * 7 + t) % 9))
+                .collect();
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let pop = match kind {
+                0 => RawPopularity::Missing,
+                1 => RawPopularity::decode(vec![0, 0, 0], 3),
+                k => RawPopularity::decode(vec![k, 61 - k, 3], 3),
+            };
+            b.push_video(&format!("k{key}"), key as u64 * 13, &refs, pop);
+        }
+        b.build()
+    }
+
+    proptest::proptest! {
+        /// Streamed snapshots, each extending the previous one's
+        /// indices, equal the cold filter after every epoch: postings
+        /// tag by tag and the key index key by key (plus one absent
+        /// key), over random splits with an empty batch, a batch whose
+        /// records all drop, and keys repeated across batches.
+        #[test]
+        fn streamed_indices_equal_the_cold_filter_after_every_epoch(
+            specs in proptest::collection::vec((0usize..40, 0usize..4, 0u8..6), 0..80),
+            cuts in proptest::collection::vec(0usize..80, 0..6),
+        ) {
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(specs.len())).collect();
+            bounds.extend([0, specs.len()]);
+            bounds.sort_unstable();
+            let mut batches: Vec<Dataset> =
+                bounds.windows(2).map(|w| batch(&specs[w[0]..w[1]])).collect();
+            batches.insert(batches.len() / 2, batch(&[]));
+            batches.push(batch(&[(90, 0, 4), (91, 2, 0), (92, 1, 1)]));
+            batches.push(batch(&specs[..specs.len().min(8)]));
+
+            let mut ingest = CleanIngest::new(3);
+            let mut previous: Option<CleanDataset> = None;
+            for epoch in 0..batches.len() {
+                ingest.apply(&batches[epoch]);
+                let snap = ingest.snapshot(previous.as_ref());
+                let refs: Vec<&Dataset> = batches[..=epoch].iter().collect();
+                let cold = filter(&concat(&refs));
+                for (tag, _) in cold.tags().iter() {
+                    proptest::prop_assert_eq!(snap.videos_with_tag(tag), cold.videos_with_tag(tag));
+                }
+                for key in cold.iter().map(|v| v.key).chain(["absent"]) {
+                    let first = (0..cold.len()).find(|&pos| cold.key_of(pos) == key);
+                    proptest::prop_assert_eq!(cold.position_of(key), first);
+                    proptest::prop_assert_eq!(snap.position_of(key), first);
+                }
+                proptest::prop_assert_eq!(&snap, &cold);
+                previous = Some(snap);
+            }
+        }
     }
 
     #[test]

@@ -86,6 +86,16 @@ where
         self.kept.insert(at, item);
     }
 
+    /// The worst kept item once `k` items are kept — an offer must rank
+    /// strictly before it to get in — or `None` while there is room.
+    pub fn floor(&self) -> Option<&T> {
+        if self.kept.len() < self.k {
+            None
+        } else {
+            self.kept.last()
+        }
+    }
+
     /// The kept items, best first.
     pub fn into_sorted(self) -> Vec<T> {
         self.kept

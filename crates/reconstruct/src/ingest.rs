@@ -303,8 +303,10 @@ impl IngestEngine {
     /// aggregate's kernel, on the pool. Sealed clean and
     /// reconstruction segments are shared with every earlier epoch, so
     /// a publish copies only the view column, the interner's pointers,
-    /// the postings and the aggregates, never an earlier video's
-    /// columns or row.
+    /// the postings, the key index and the aggregates, never an earlier
+    /// video's columns or row. The postings and the key index extend
+    /// the previous epoch's: only the new videos are inverted and
+    /// hashed.
     ///
     /// # Errors
     ///
@@ -320,7 +322,9 @@ impl IngestEngine {
             .and_then(|epoch| Arc::try_unwrap(epoch).ok())
             .map(|epoch| epoch.table.into_buffer())
             .unwrap_or_default();
-        let clean = self.clean.snapshot();
+        let clean = self
+            .clean
+            .snapshot(self.latest.as_ref().map(|epoch| &epoch.clean));
         let open = CountryMatrix::from_flat(
             self.clean.kept() - self.recon.len(),
             self.traffic.len(),

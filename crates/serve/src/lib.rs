@@ -43,7 +43,6 @@
 )]
 
 pub mod http;
-mod keys;
 pub mod loadgen;
 pub mod query;
 pub mod server;

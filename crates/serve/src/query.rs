@@ -88,12 +88,23 @@ impl fmt::Display for QueryError {
 /// parsed.
 pub fn load_clean(path: &str) -> Result<CleanDataset, String> {
     let map = Mmap::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    if sniff(&map) == Some(DatasetFormat::Binary) {
+    clean_from_bytes(&map, path)
+}
+
+/// [`load_clean`]'s sniff, decode and filter over bytes already in
+/// hand (a map or a read copy); `path` only names the source in error
+/// messages.
+///
+/// # Errors
+///
+/// Returns a user-facing message when the bytes cannot be parsed.
+pub(crate) fn clean_from_bytes(bytes: &[u8], path: &str) -> Result<CleanDataset, String> {
+    if sniff(bytes) == Some(DatasetFormat::Binary) {
         let view =
-            binfmt::decode_borrowed(&map).map_err(|e| format!("cannot parse {path}: {e}"))?;
+            binfmt::decode_borrowed(bytes).map_err(|e| format!("cannot parse {path}: {e}"))?;
         return Ok(filter_columnar(&view));
     }
-    let dataset = decode_any(&map).map_err(|e| format!("cannot parse {path}: {e}"))?;
+    let dataset = decode_any(bytes).map_err(|e| format!("cannot parse {path}: {e}"))?;
     Ok(filter(&dataset))
 }
 
@@ -183,13 +194,6 @@ pub fn country_body(
         );
     }
     Ok(text)
-}
-
-/// Clean-dataset position of the video with external key `key`.
-/// Linear scan — the offline one-shot path; the server keeps a
-/// per-epoch key index instead.
-pub fn find_video(clean: &CleanDataset, key: &str) -> Option<usize> {
-    (0..clean.len()).find(|&pos| clean.key_of(pos) == key)
 }
 
 /// The per-video reconstruction body (`tagdist video KEY`,
@@ -413,13 +417,13 @@ mod tests {
     #[test]
     fn video_body_renders_the_reconstruction_row() {
         let (clean, recon, _, _) = parts();
-        let pos = find_video(&clean, clean.key_of(0)).unwrap();
+        let pos = clean.position_of(clean.key_of(0)).unwrap();
         assert_eq!(pos, 0);
         let body = video_body(&clean, &recon, pos).unwrap();
         assert!(body.contains("reconstructed views by country:"));
         assert!(body.starts_with(clean.key_of(0)));
         assert!(video_body(&clean, &recon, clean.len()).is_err());
-        assert_eq!(find_video(&clean, "missing"), None);
+        assert_eq!(clean.position_of("missing"), None);
     }
 
     #[test]

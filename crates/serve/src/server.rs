@@ -38,7 +38,6 @@ use tagdist::reconstruct::{EpochSnapshot, SnapshotCell};
 use tagdist::tags::GeoTagIndex;
 
 use crate::http::{percent_decode, write_response, RequestReader};
-use crate::keys::KeyIndex;
 use crate::query;
 
 /// The coordinator's tick: how often the thread that called
@@ -52,15 +51,16 @@ pub const DEFAULT_READ_TIMEOUT_MS: u64 = 5_000;
 /// second).
 const WATCH_POLL_ITERATIONS: u64 = 256;
 
-/// Derived per-epoch read state: the pinned snapshot plus the two
-/// indices queries need (built once per epoch flip, never mutated),
-/// and the `/stats` and `/report` bodies, each rendered on its first
-/// request and served from memory after that.
+/// Derived per-epoch read state: the pinned snapshot plus the
+/// signature index `/country` needs (built once per epoch flip, never
+/// mutated), and the `/stats` and `/report` bodies, each rendered on
+/// its first request and served from memory after that. `/video` looks
+/// keys up in the snapshot's own key index
+/// ([`CleanDataset::position_of`](tagdist::dataset::CleanDataset::position_of)).
 pub struct ServeState {
     /// The pinned epoch.
     pub snapshot: Arc<EpochSnapshot>,
     index: GeoTagIndex,
-    keys: KeyIndex,
     stats: OnceLock<String>,
     report: OnceLock<String>,
 }
@@ -76,17 +76,14 @@ impl std::fmt::Debug for ServeState {
 
 impl ServeState {
     /// Builds the read state for one epoch: the canonical signature
-    /// index ([`query::build_geo_index`]) and the key → position
-    /// index. The `/stats` and `/report` bodies are left to their first
-    /// requests, so an epoch flip does not pay for whole-corpus passes
-    /// nobody asked for.
+    /// index ([`query::build_geo_index`]). The `/stats` and `/report`
+    /// bodies are left to their first requests, so an epoch flip does
+    /// not pay for whole-corpus passes nobody asked for.
     pub fn build(snapshot: Arc<EpochSnapshot>, traffic: &GeoDist) -> ServeState {
         let index = query::build_geo_index(&snapshot.table, traffic);
-        let keys = KeyIndex::build(&snapshot.clean);
         ServeState {
             snapshot,
             index,
-            keys,
             stats: OnceLock::new(),
             report: OnceLock::new(),
         }
@@ -135,7 +132,7 @@ impl ServeState {
                 None => return bad_encoding(code),
             },
             ("video", Some(enc)) => match percent_decode(enc) {
-                Some(key) => match self.keys.get(clean, &key) {
+                Some(key) => match clean.position_of(&key) {
                     Some(pos) => query::video_body(clean, &self.snapshot.recon, pos),
                     None => Err(query::QueryError::UnknownVideo(key)),
                 },
@@ -418,9 +415,16 @@ fn mtime_of(path: &str) -> Option<(u64, String)> {
     Some((meta.len(), stamp))
 }
 
-/// Re-sniffs `path` and cold-builds the next epoch from it.
+/// Re-reads `path` and cold-builds the next epoch from it.
+///
+/// The file is read into memory, not mapped: a writer may truncate and
+/// rewrite it in place at any moment, and a map would fault on the
+/// pages cut off. A copy taken mid-rewrite fails its checksums or its
+/// parse and counts as a failed reload; the rewrite's last write
+/// changes the file's stamp again, so the next poll reloads it whole.
 fn reload(path: &str, epoch: u64, traffic: &TrafficModel) -> Result<Arc<EpochSnapshot>, String> {
-    let clean = query::load_clean(path)?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let clean = query::clean_from_bytes(&bytes, path)?;
     EpochSnapshot::rebuild(epoch, clean, traffic.distribution())
         .map(Arc::new)
         .map_err(|e| format!("reconstruction failed: {e}"))
@@ -880,6 +884,40 @@ mod tests {
         shutdown.store(true, Ordering::SeqCst);
         handle.join().unwrap().unwrap();
         assert_eq!(stats.reloads.load(Ordering::Relaxed), 0);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    /// Truncates `path` and writes `bytes` into the same inode.
+    fn rewrite_in_place(path: &Path, bytes: &[u8]) {
+        let mut file = std::fs::OpenOptions::new()
+            .write(true)
+            .truncate(true)
+            .open(path)
+            .unwrap();
+        file.write_all(bytes).unwrap();
+    }
+
+    /// A writer that truncates the served file and rewrites it in
+    /// place, over and over, races every reload's read. A copy read
+    /// mid-rewrite must fail as a counted reload error, not fault the
+    /// server. Once the writer stops, one last rewrite (its stamp a
+    /// fresh one after a pause) must be served.
+    #[test]
+    fn watch_survives_in_place_rewrites_and_ends_on_the_final_file() {
+        let (path, (addr, shutdown, stats, handle)) = boot_watching("watch-in-place");
+        let bytes = corpus_bytes(1_500);
+        let started = std::time::Instant::now();
+        while started.elapsed() < Duration::from_millis(1_500) {
+            rewrite_in_place(&path, &bytes);
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        rewrite_in_place(&path, &bytes);
+        let want = query::stats_body(&query::load_clean(path.to_str().unwrap()).unwrap());
+        wait_for("the final reload", || get(addr, "/stats").1 == want);
+
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap().unwrap();
+        assert!(stats.reloads.load(Ordering::Relaxed) >= 1);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

@@ -28,14 +28,98 @@ pub struct ScoredTag {
     pub lift: f64,
 }
 
+/// Both rankings' order over `(score, tag)`: higher score first, then
+/// the smaller (unique) tag.
+fn higher_score_first(a: (f64, TagId), b: (f64, TagId)) -> Ordering {
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
+}
+
 /// The views ranking: most views first, unique-tag tiebreak.
 fn most_views_first(a: &ScoredTag, b: &ScoredTag) -> Ordering {
-    b.views.total_cmp(&a.views).then(a.tag.cmp(&b.tag))
+    higher_score_first((a.views, a.tag), (b.views, b.tag))
 }
 
 /// The lift ranking: highest lift first, unique-tag tiebreak.
 fn highest_lift_first(a: &ScoredTag, b: &ScoredTag) -> Ordering {
-    b.lift.total_cmp(&a.lift).then(a.tag.cmp(&b.tag))
+    higher_score_first((a.lift, a.tag), (b.lift, b.tag))
+}
+
+/// Whether a cell scoring `score` for `tag` ranks strictly before a
+/// full ranking's `floor`: the only cells [`TopK::offer`] would keep.
+/// With room left (`None`), every cell may enter.
+fn ranks_before(floor: Option<(f64, TagId)>, score: f64, tag: TagId) -> bool {
+    floor.is_none_or(|floor| higher_score_first((score, tag), floor) == Ordering::Less)
+}
+
+/// The relative slack in [`Floors::lift_excludes`]'s bound, far above
+/// the few units in the last place its rounding can cost.
+const LIFT_MARGIN: f64 = 1e-9;
+
+/// The magnitudes [`Floors::set_lift`] builds a bound from: well inside
+/// the normal range, so no step of the bound or of a lift underflows.
+const BOUND_RANGE: core::ops::RangeInclusive<f64> = 1e-290..=1e290;
+
+/// What a cell must beat to enter one country's two rankings.
+#[derive(Debug, Clone, Copy)]
+struct Floors {
+    /// The views ranking's `k`-th entry, once it is full.
+    views: Option<(f64, TagId)>,
+    /// That entry's views, or −∞ while the ranking has room.
+    views_below: f64,
+    /// The lift ranking's `k`-th entry, once it is full.
+    lift: Option<(f64, TagId)>,
+    /// `floor lift × traffic share × (1 − LIFT_MARGIN)`, or 0 while the
+    /// ranking has room or the floor is out of [`BOUND_RANGE`].
+    lift_per_total: f64,
+}
+
+impl Floors {
+    const OPEN: Floors = Floors {
+        views: None,
+        views_below: f64::NEG_INFINITY,
+        lift: None,
+        lift_per_total: 0.0,
+    };
+
+    fn set_views(&mut self, kth: Option<&ScoredTag>) {
+        self.views = kth.map(|s| (s.views, s.tag));
+        self.views_below = kth.map_or(f64::NEG_INFINITY, |s| s.views);
+    }
+
+    fn set_lift(&mut self, kth: Option<&ScoredTag>, traffic_share: f64) {
+        self.lift = kth.map(|s| (s.lift, s.tag));
+        self.lift_per_total = kth.map_or(0.0, |s| {
+            let bound = s.lift * traffic_share * (1.0 - LIFT_MARGIN);
+            if BOUND_RANGE.contains(&s.lift) && BOUND_RANGE.contains(&bound) {
+                bound
+            } else {
+                0.0
+            }
+        });
+    }
+
+    /// Whether a cell of `v` views has fewer than the views floor. The
+    /// IEEE `<` is false for NaN and for a tie, which take the exact
+    /// [`ranks_before`] test; where it holds, so does `total_cmp`'s.
+    fn views_exclude(&self, v: f64) -> bool {
+        v < self.views_below
+    }
+
+    /// Whether a cell of `v` views, of a tag totalling `total`, scores
+    /// a lift strictly below the lift floor, decided with one multiply
+    /// instead of the lift's two divisions.
+    ///
+    /// Exact: with `bound = lift_per_total × total` normal, every
+    /// rounding on the way from the floor lift `L` to `bound` and from
+    /// `bound` to its own lift is a normal one, within a relative
+    /// 2⁻⁵³, so `bound`'s lift is at most `L × (1 − LIFT_MARGIN) ×
+    /// (1 + 2⁻⁵³)⁵ < L`. Correctly rounded division is monotone, so a
+    /// cell with `v < bound` has a lift no larger, strictly below `L`:
+    /// it cannot enter, whatever its tag.
+    fn lift_excludes(&self, v: f64, total: f64) -> bool {
+        let bound = self.lift_per_total * total;
+        bound.is_normal() && v < bound
+    }
 }
 
 /// Per-country tag rankings.
@@ -82,6 +166,13 @@ impl GeoTagIndex {
     /// candidate list is ever materialized. The comparators are total
     /// orders (`total_cmp` with the unique-tag tiebreak), so the kept
     /// entries are exactly the first `k` of a full sort, ties included.
+    ///
+    /// Once a ranking is full, a cell must rank before its `k`-th entry
+    /// to enter, and almost none does: each country keeps its two
+    /// [`Floors`], and a cell that can beat neither is skipped before
+    /// its lift is computed or either ranking is touched. Every skip
+    /// is one [`TopK::offer`] would have rejected, so the rankings are
+    /// unchanged.
     fn from_rows<'a>(
         rows: impl Iterator<Item = (TagId, &'a [f64], usize)>,
         traffic: &GeoDist,
@@ -96,6 +187,7 @@ impl GeoTagIndex {
         let mut by_lift: Vec<_> = (0..countries)
             .map(|_| TopK::new(k, highest_lift_first))
             .collect();
+        let mut floors = vec![Floors::OPEN; countries];
 
         for (tag, views, videos) in rows {
             let total = kernel::sum(views);
@@ -105,6 +197,12 @@ impl GeoTagIndex {
             let lift_ranked = total >= min_views && videos >= min_videos;
             for (index, &v) in views.iter().enumerate() {
                 if v <= 0.0 {
+                    continue;
+                }
+                let floor = &mut floors[index];
+                let takes_views = !floor.views_exclude(v) && ranks_before(floor.views, v, tag);
+                let may_lift = lift_ranked && !floor.lift_excludes(v, total);
+                if !takes_views && !may_lift {
                     continue;
                 }
                 let share = v / total;
@@ -119,9 +217,13 @@ impl GeoTagIndex {
                     views: v,
                     lift,
                 };
-                by_views[index].offer(scored);
-                if lift_ranked {
+                if takes_views {
+                    by_views[index].offer(scored);
+                    floor.set_views(by_views[index].floor());
+                }
+                if may_lift && ranks_before(floor.lift, lift, tag) {
                     by_lift[index].offer(scored);
+                    floor.set_lift(by_lift[index].floor(), traffic_share);
                 }
             }
         }
@@ -396,20 +498,28 @@ mod oracle {
     proptest! {
         /// Cells are drawn from a handful of multiples of 50 —
         /// including zero and negative ones — so equal views, equal
-        /// lifts and skipped cells are all common; tag ids are sparse
-        /// and offered out of order; some countries carry no traffic.
+        /// lifts and skipped cells are all common. Copies of some rows
+        /// under other tags tie on views and on lift, at the `k`-th
+        /// place among others. Tag ids are sparse; rows are offered out
+        /// of order and in ascending order (the table's). The last
+        /// country carries no traffic. The thresholds are often some
+        /// row's exact total and carrier count, and `k` runs from 0
+        /// past the number of tags.
         #[test]
         fn streaming_build_matches_the_candidate_list_oracle(
             cells in proptest::collection::vec(-2i32..6, 0..(40 * COUNTRIES)),
             videos in proptest::collection::vec(0usize..5, 40),
             counts in proptest::collection::vec(0u32..4, COUNTRIES),
+            copies in proptest::collection::vec(0usize..40, 0..6),
+            at_row in 0usize..80,
             min_views_step in 0usize..3,
             min_videos in 0usize..4,
         ) {
             let mut counts: Vec<f64> = counts.into_iter().map(f64::from).collect();
             counts[0] += 1.0;
+            counts[COUNTRIES - 1] = 0.0;
             let traffic = GeoDist::from_counts(&CountryVec::from_values(counts)).unwrap();
-            let rows: Vec<(TagId, Vec<f64>, usize)> = cells
+            let mut rows: Vec<(TagId, Vec<f64>, usize)> = cells
                 .chunks_exact(COUNTRIES)
                 .enumerate()
                 .map(|(i, chunk)| {
@@ -418,9 +528,22 @@ mod oracle {
                     (tag, views, videos[i])
                 })
                 .collect();
-            let min_views = [0.0, 100.0, 250.0][min_views_step];
-            for k in [0, 1, 8, rows.len() + 1] {
+            let originals = rows.len();
+            for (j, &row) in copies.iter().enumerate() {
+                if row < originals {
+                    let (_, views, videos) = rows[row].clone();
+                    rows.push((TagId::from_index(401 + j), views, videos));
+                }
+            }
+            let (min_views, min_videos) = match rows.get(at_row) {
+                Some(row) => (kernel::sum(&row.1), row.2),
+                None => ([0.0, 100.0, 250.0][min_views_step], min_videos),
+            };
+            let mut ascending = rows.clone();
+            ascending.sort_by_key(|row| row.0);
+            for k in [0, 1, 2, 3, 8, rows.len(), rows.len() + 1] {
                 assert_same(&rows, &traffic, k, min_views, min_videos)?;
+                assert_same(&ascending, &traffic, k, min_views, min_videos)?;
             }
         }
     }
