@@ -105,7 +105,8 @@ USAGE:
       Re-stream a saved dataset through the incremental ingest engine
       in N fixed-size batches (default 8), publishing an epoch
       snapshot per batch, and emit the final epoch's report — or, with
-      --cold, rebuild the same report from scratch. The two reports
+      --cold, rebuild the same report from scratch. A binary file
+      streams straight from its map. The two reports
       are byte-identical for the same input: the incremental engine's
       headline guarantee, and what the CI incremental-oracle lane
       `cmp`s. Without --out the report prints to stdout.
@@ -450,7 +451,7 @@ fn crawl_ingest<W: Write>(
                     progress,
                     "epoch {}: +{} videos ({} kept), {} kept total",
                     snapshot.epoch,
-                    delta.unique,
+                    delta.records,
                     delta.kept,
                     engine.clean().kept()
                 );
@@ -526,53 +527,16 @@ fn ingest_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
         query::ingest_report_body(&epoch.clean, &epoch.table)
     } else {
-        let dataset = load(path)?;
-        if dataset.country_count() != traffic.distribution().len() {
-            return Err(format!(
-                "{path} covers {} countries, the reference world has {}",
-                dataset.country_count(),
-                traffic.distribution().len()
-            ));
+        let map = Mmap::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+        if sniff(&map) == Some(DatasetFormat::Binary) {
+            // Stream the mapped file in place: no record decode.
+            let view =
+                binfmt::decode_borrowed(&map).map_err(|e| format!("cannot parse {path}: {e}"))?;
+            stream_batches(&view, path, batches, &traffic, out)?
+        } else {
+            let dataset = decode_any(&map).map_err(|e| format!("cannot parse {path}: {e}"))?;
+            stream_batches(&dataset, path, batches, &traffic, out)?
         }
-        let mut engine = IngestEngine::new(traffic.distribution().clone());
-        let total = dataset.len();
-        let size = total.div_ceil(batches).max(1);
-        let mut from = 0;
-        while from < total {
-            let to = (from + size).min(total);
-            let delta = engine
-                .apply_range(&dataset, from, to)
-                .map_err(|e| format!("reconstruction failed: {e}"))?;
-            let snapshot = engine
-                .publish()
-                .map_err(|e| format!("publish failed: {e}"))?;
-            writeln!(
-                out,
-                "epoch {}: applied records {from}..{to} ({} kept), {} kept total",
-                snapshot.epoch,
-                delta.kept,
-                engine.clean().kept()
-            )
-            .map_err(|e| e.to_string())?;
-            from = to;
-        }
-        // An empty dataset still publishes one (empty) epoch.
-        let snapshot = match engine.cell().load() {
-            Some(snapshot) => snapshot,
-            None => engine
-                .publish()
-                .map_err(|e| format!("publish failed: {e}"))?,
-        };
-        writeln!(
-            out,
-            "ingest: {} batches, {} epochs, kept {} of {} crawled",
-            engine.stats().batches,
-            engine.epoch(),
-            engine.clean().kept(),
-            engine.clean().crawled()
-        )
-        .map_err(|e| e.to_string())?;
-        query::ingest_report_body(&snapshot.clean, &snapshot.table)
     };
 
     match out_path {
@@ -583,6 +547,64 @@ fn ingest_cmd<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
         None => write!(out, "{report}").map_err(|e| e.to_string())?,
     }
     Ok(())
+}
+
+/// Streams `src` through a fresh [`IngestEngine`] in `batches` equal
+/// record ranges, publishing an epoch after each, and renders the last
+/// epoch's report.
+fn stream_batches<C: ColumnarRead, W: Write>(
+    src: &C,
+    path: &str,
+    batches: usize,
+    traffic: &TrafficModel,
+    out: &mut W,
+) -> Result<String, String> {
+    if src.country_count() != traffic.distribution().len() {
+        return Err(format!(
+            "{path} covers {} countries, the reference world has {}",
+            src.country_count(),
+            traffic.distribution().len()
+        ));
+    }
+    let mut engine = IngestEngine::new(traffic.distribution().clone());
+    let total = src.len();
+    let size = total.div_ceil(batches).max(1);
+    let mut from = 0;
+    while from < total {
+        let to = (from + size).min(total);
+        let delta = engine
+            .apply_range(src, from, to)
+            .map_err(|e| format!("reconstruction failed: {e}"))?;
+        let snapshot = engine
+            .publish()
+            .map_err(|e| format!("publish failed: {e}"))?;
+        writeln!(
+            out,
+            "epoch {}: applied records {from}..{to} ({} kept), {} kept total",
+            snapshot.epoch,
+            delta.kept,
+            engine.clean().kept()
+        )
+        .map_err(|e| e.to_string())?;
+        from = to;
+    }
+    // An empty dataset still publishes one (empty) epoch.
+    let snapshot = match engine.cell().load() {
+        Some(snapshot) => snapshot,
+        None => engine
+            .publish()
+            .map_err(|e| format!("publish failed: {e}"))?,
+    };
+    writeln!(
+        out,
+        "ingest: {} batches, {} epochs, kept {} of {} crawled",
+        engine.stats().batches,
+        engine.epoch(),
+        engine.clean().kept(),
+        engine.clean().crawled()
+    )
+    .map_err(|e| e.to_string())?;
+    Ok(query::ingest_report_body(&snapshot.clean, &snapshot.table))
 }
 
 fn stats<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {

@@ -55,6 +55,7 @@ use std::io::{Read, Write};
 
 use crate::columnar::{ColumnarDataset, ColumnarRead, POP_CORRUPT, POP_MISSING, POP_VALID};
 use crate::error::DatasetError;
+use crate::tag::TagId;
 
 /// First bytes of every binary dataset file.
 pub const MAGIC: &[u8] = b"#tagdist-dataset bin v1\n";
@@ -317,12 +318,9 @@ impl ColumnarRead for ColumnarView<'_> {
         u64_at(self.total_views, i)
     }
 
-    fn tag_range(&self, i: usize) -> core::ops::Range<usize> {
-        u32_at(self.tag_rows, i) as usize..u32_at(self.tag_rows, i + 1) as usize
-    }
-
-    fn tag_id(&self, k: usize) -> u32 {
-        u32_at(self.tag_ids, k)
+    fn video_tags(&self, i: usize) -> impl ExactSizeIterator<Item = TagId> + '_ {
+        let row = u32_at(self.tag_rows, i) as usize..u32_at(self.tag_rows, i + 1) as usize;
+        row.map(|k| TagId::from_index(u32_at(self.tag_ids, k) as usize))
     }
 
     fn pop_kind(&self, i: usize) -> u8 {

@@ -30,20 +30,21 @@ pub const POP_VALID: u8 = 1;
 /// Popularity sentinel: raw bytes that failed decoding.
 pub const POP_CORRUPT: u8 = 2;
 
-/// Read access to a validated columnar dataset, owned or borrowed.
+/// Read access to a validated dataset, video by video.
 ///
-/// Implemented by [`ColumnarDataset`] (typed columns in owned `Vec`s)
-/// and by [`ColumnarView`](crate::binfmt::ColumnarView) (sections
-/// borrowed straight from an on-disk image, e.g. an `mmap`). Consumers
-/// written against this trait — most importantly
-/// [`filter_columnar`](crate::filter::filter_columnar) — run unchanged
-/// over either, which is what lets the pipeline go from file bytes to
-/// a [`CleanDataset`](crate::CleanDataset) without materializing
-/// per-video records.
+/// Implemented by [`ColumnarDataset`] (typed columns in owned `Vec`s),
+/// by [`ColumnarView`](crate::binfmt::ColumnarView) (sections borrowed
+/// straight from an on-disk image, e.g. an `mmap`) and by a record
+/// [`Dataset`], read in place. The §2 filter loop
+/// ([`CleanIngest::apply_range`](crate::CleanIngest::apply_range), and
+/// [`filter_columnar`](crate::filter::filter_columnar) as its one
+/// batch) runs unchanged over any of them, which is what lets the
+/// pipeline go from file bytes to a [`CleanDataset`](crate::CleanDataset)
+/// without materializing per-video records.
 ///
-/// Every implementation is backed by decoder-validated columns, so the
-/// invariants in the [`ColumnarDataset`] docs hold and accessors may
-/// panic only on out-of-range indices.
+/// Every implementation upholds the invariants in the
+/// [`ColumnarDataset`] docs, so accessors may panic only on
+/// out-of-range indices.
 pub trait ColumnarRead {
     /// Number of videos.
     fn len(&self) -> usize;
@@ -68,12 +69,8 @@ pub trait ColumnarRead {
     /// Total worldwide views of video `i`.
     fn total_views(&self, i: usize) -> u64;
 
-    /// Range of video `i`'s tags in the flat tag-id column (the CSR
-    /// row `[spine[i], spine[i+1])`).
-    fn tag_range(&self, i: usize) -> core::ops::Range<usize>;
-
-    /// The `k`-th entry of the flat tag-id column.
-    fn tag_id(&self, k: usize) -> u32;
+    /// Tag ids of video `i`, in upload order; each is `< tag_count`.
+    fn video_tags(&self, i: usize) -> impl ExactSizeIterator<Item = TagId> + '_;
 
     /// The `POP_*` sentinel of video `i`.
     fn pop_kind(&self, i: usize) -> u8;
@@ -423,12 +420,10 @@ impl ColumnarRead for ColumnarDataset {
         ColumnarDataset::total_views(self, i)
     }
 
-    fn tag_range(&self, i: usize) -> core::ops::Range<usize> {
-        self.tag_rows[i] as usize..self.tag_rows[i + 1] as usize
-    }
-
-    fn tag_id(&self, k: usize) -> u32 {
-        self.tag_ids[k]
+    fn video_tags(&self, i: usize) -> impl ExactSizeIterator<Item = TagId> + '_ {
+        self.tags_of(i)
+            .iter()
+            .map(|&t| TagId::from_index(t as usize))
     }
 
     fn pop_kind(&self, i: usize) -> u8 {
@@ -441,6 +436,59 @@ impl ColumnarRead for ColumnarDataset {
 
     fn tag_name(&self, t: usize) -> &str {
         ColumnarDataset::tag_name(self, t)
+    }
+}
+
+/// A record dataset read in place: each video's `POP_*` kind is its
+/// [`RawPopularity`] variant, so the filter loop needs no flattening
+/// copy.
+impl ColumnarRead for Dataset {
+    fn len(&self) -> usize {
+        Dataset::len(self)
+    }
+
+    fn country_count(&self) -> usize {
+        Dataset::country_count(self)
+    }
+
+    fn tag_count(&self) -> usize {
+        self.tags().len()
+    }
+
+    fn key(&self, i: usize) -> &str {
+        &self.video(VideoId::from_index(i)).key
+    }
+
+    fn title(&self, i: usize) -> &str {
+        &self.video(VideoId::from_index(i)).title
+    }
+
+    fn total_views(&self, i: usize) -> u64 {
+        self.video(VideoId::from_index(i)).total_views
+    }
+
+    fn video_tags(&self, i: usize) -> impl ExactSizeIterator<Item = TagId> + '_ {
+        self.video(VideoId::from_index(i)).tags.iter().copied()
+    }
+
+    fn pop_kind(&self, i: usize) -> u8 {
+        match self.video(VideoId::from_index(i)).popularity {
+            RawPopularity::Missing => POP_MISSING,
+            RawPopularity::Valid(_) => POP_VALID,
+            RawPopularity::Corrupt(_) => POP_CORRUPT,
+        }
+    }
+
+    fn pop_payload(&self, i: usize) -> &[u8] {
+        match &self.video(VideoId::from_index(i)).popularity {
+            RawPopularity::Missing => &[],
+            RawPopularity::Valid(pop) => pop.as_slice(),
+            RawPopularity::Corrupt(bytes) => bytes,
+        }
+    }
+
+    fn tag_name(&self, t: usize) -> &str {
+        self.tags().name(TagId::from_index(t))
     }
 }
 

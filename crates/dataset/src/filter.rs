@@ -42,14 +42,16 @@
 //! and hashes only the segments sealed since. Both paths run one
 //! kernel, so their indices are equal.
 //!
-//! Two entry points build the same structure: [`filter`] from a
-//! record-oriented [`Dataset`], and [`filter_columnar`] straight from
-//! any [`ColumnarRead`] source (an owned
-//! [`ColumnarDataset`](crate::columnar::ColumnarDataset) or a
-//! zero-copy [`ColumnarView`](crate::binfmt::ColumnarView) over a
-//! mapped file). Both visit videos in dataset order and apply the
-//! identical predicate, so their outputs are equal field for field —
-//! an invariant the proptest oracle below pins down.
+//! One loop applies the predicate:
+//! [`CleanIngest::apply_range`](crate::ingest::CleanIngest::apply_range),
+//! which reads any [`ColumnarRead`] source (an owned
+//! [`ColumnarDataset`](crate::columnar::ColumnarDataset), a zero-copy
+//! [`ColumnarView`](crate::binfmt::ColumnarView) over a mapped file,
+//! or a record [`Dataset`] read in place). [`filter_columnar`] is one
+//! batch of it over the whole source, and [`filter`] is the same call
+//! on records. A record-path restatement of the loop is kept as a test
+//! oracle; the proptests below compare both entry points with it field
+//! for field.
 
 use core::fmt;
 use std::sync::Arc;
@@ -57,8 +59,9 @@ use std::sync::Arc;
 use tagdist_geo::PopularityView;
 
 use crate::binfmt::fnv1a;
-use crate::columnar::{ColumnarRead, POP_VALID};
+use crate::columnar::ColumnarRead;
 use crate::dataset::Dataset;
+use crate::ingest::CleanIngest;
 use crate::record::VideoId;
 use crate::tag::{TagId, TagInterner};
 
@@ -238,8 +241,7 @@ impl CleanDataset {
     /// `key`'s hash and confirms each candidate against the stored key,
     /// in position order, so hash collisions resolve exactly. Should
     /// the dataset carry a key twice (a `bin v1` file may), the first
-    /// position answers, as the streamed ingest keeps a key's first
-    /// crawl.
+    /// position answers.
     pub fn position_of(&self, key: &str) -> Option<usize> {
         let hash = fnv1a(key.as_bytes());
         let start = self.keys.partition_point(|&(h, _)| h < hash);
@@ -425,10 +427,9 @@ impl Segment {
     }
 }
 
-/// Incremental column builder shared by [`filter`], [`filter_columnar`]
-/// and the streaming-ingest state (`crate::ingest`), so every path
-/// constructs its result through the exact same sequence of column
-/// writes.
+/// Incremental column builder behind the filter loop
+/// (`crate::ingest`): a cold build and a stream construct their result
+/// through the exact same sequence of column writes.
 ///
 /// Pushed videos go to an open segment. [`seal`](CleanBuilder::seal)
 /// freezes it behind an `Arc`, and
@@ -451,13 +452,10 @@ pub(crate) struct CleanBuilder {
 }
 
 impl CleanBuilder {
-    pub(crate) fn new(country_count: usize, crawled: usize) -> CleanBuilder {
+    pub(crate) fn new(country_count: usize) -> CleanBuilder {
         CleanBuilder {
             country_count,
-            report: FilterReport {
-                crawled,
-                ..FilterReport::default()
-            },
+            report: FilterReport::default(),
             sealed: Vec::new(),
             starts: Vec::new(),
             open: Segment::new(),
@@ -505,16 +503,6 @@ impl CleanBuilder {
         }
         let s = segment_of(&self.starts, pos);
         (&self.sealed[s], pos - self.starts[s])
-    }
-
-    /// External platform key of the video at `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is out of range.
-    pub(crate) fn key_of(&self, pos: usize) -> &str {
-        let (segment, i) = self.locate(pos);
-        segment.key(i)
     }
 
     /// Validated intensity bytes of the video at `pos`.
@@ -704,10 +692,34 @@ fn merge_sorted(base: &[(u64, u32)], fresh: &[(u64, u32)]) -> Vec<(u64, u32)> {
 /// Videos with no tags are dropped first (and counted as `no_tags`
 /// even if their popularity is also bad, matching the paper's
 /// presentation order); remaining videos with a missing, corrupt or
-/// all-zero popularity vector are dropped as `bad_popularity`.
+/// all-zero popularity vector are dropped as `bad_popularity`. The
+/// records are read in place through [`ColumnarRead`], by the same
+/// loop as [`filter_columnar`].
 pub fn filter(dataset: &Dataset) -> CleanDataset {
-    let mut b = CleanBuilder::new(dataset.country_count(), dataset.len());
-    for record in dataset.iter() {
+    CleanIngest::filter(dataset)
+}
+
+/// Applies the paper's §2 filter directly to columnar storage — the
+/// zero-copy path from a decoded (or memory-mapped) binary file to the
+/// clean working set, skipping [`Dataset`] materialization entirely.
+///
+/// One batch of [`CleanIngest::apply_range`] over every video: an
+/// empty tag row is `no_tags`; a popularity that is not
+/// `POP_VALID`-with-signal is `bad_popularity`. Tag ids are taken as
+/// stored and names copied from the source. Output equals
+/// `filter(&src.to_dataset())` field for field.
+pub fn filter_columnar<C: ColumnarRead>(src: &C) -> CleanDataset {
+    CleanIngest::filter(src)
+}
+
+/// The record-path restatement of the §2 loop over records `0..to`,
+/// under `dataset`'s whole vocabulary: the oracle the proptests compare
+/// the one production loop with.
+#[cfg(test)]
+pub(crate) fn filter_records(dataset: &Dataset, to: usize) -> CleanDataset {
+    let mut b = CleanBuilder::new(dataset.country_count());
+    b.report.crawled = to;
+    for record in dataset.iter().take(to) {
         if record.tags.is_empty() {
             b.report.no_tags += 1;
             continue;
@@ -726,43 +738,6 @@ pub fn filter(dataset: &Dataset) -> CleanDataset {
         );
     }
     b.finish(dataset.tags().clone())
-}
-
-/// Applies the paper's §2 filter directly to columnar storage — the
-/// zero-copy path from a decoded (or memory-mapped) binary file to the
-/// clean working set, skipping [`Dataset`] materialization entirely.
-///
-/// The predicate is the exact columnar restatement of [`filter`]'s:
-/// an empty tag row is `no_tags`; a popularity that is not
-/// `POP_VALID`-with-signal is `bad_popularity` (`POP_VALID` already
-/// guarantees `country_count` in-range bytes — the decoder validated
-/// the shape — so "usable" reduces to the sentinel plus a non-zero
-/// byte). Output equals `filter(&src.to_dataset())` field for field.
-pub fn filter_columnar<C: ColumnarRead>(src: &C) -> CleanDataset {
-    let mut b = CleanBuilder::new(src.country_count(), src.len());
-    for i in 0..src.len() {
-        let tag_range = src.tag_range(i);
-        if tag_range.is_empty() {
-            b.report.no_tags += 1;
-            continue;
-        }
-        let pop = src.pop_payload(i);
-        if src.pop_kind(i) != POP_VALID || !pop.iter().any(|&v| v > 0) {
-            b.report.bad_popularity += 1;
-            continue;
-        }
-        b.push(
-            VideoId::from_index(i),
-            src.key(i),
-            src.title(i),
-            src.total_views(i),
-            tag_range.map(|k| TagId::from_index(src.tag_id(k) as usize)),
-            pop,
-        );
-    }
-    b.finish(TagInterner::from_names(
-        (0..src.tag_count()).map(|t| src.tag_name(t)),
-    ))
 }
 
 #[cfg(test)]
@@ -899,7 +874,7 @@ mod tests {
     /// `clean` re-pushed through one builder sealed before each of the
     /// positions in `cuts`, the shape a stream publishing there holds.
     fn resegmented(clean: &CleanDataset, cuts: &[usize]) -> CleanDataset {
-        let mut b = CleanBuilder::new(clean.country_count(), 0);
+        let mut b = CleanBuilder::new(clean.country_count());
         b.report = clean.report();
         for (pos, v) in clean.iter().enumerate() {
             if cuts.contains(&pos) {
@@ -1021,8 +996,8 @@ mod tests {
     }
 
     /// A columnar source whose video `copy` repeats video `of`'s key —
-    /// the `bin v1` decoder does not reject duplicate keys, and
-    /// `filter_columnar` keeps both rows.
+    /// the `bin v1` decoder does not reject duplicate keys, and the
+    /// filter loop keeps both rows.
     struct DuplicateKey {
         inner: ColumnarDataset,
         of: usize,
@@ -1048,11 +1023,8 @@ mod tests {
         fn total_views(&self, i: usize) -> u64 {
             self.inner.total_views(i)
         }
-        fn tag_range(&self, i: usize) -> core::ops::Range<usize> {
-            ColumnarRead::tag_range(&self.inner, i)
-        }
-        fn tag_id(&self, k: usize) -> u32 {
-            ColumnarRead::tag_id(&self.inner, k)
+        fn video_tags(&self, i: usize) -> impl ExactSizeIterator<Item = TagId> + '_ {
+            self.inner.video_tags(i)
         }
         fn pop_kind(&self, i: usize) -> u8 {
             ColumnarRead::pop_kind(&self.inner, i)
@@ -1065,19 +1037,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_duplicated_key_answers_with_its_first_position() {
+    /// Six retained videos keyed `key-0`‥`key-5`, except that video 4
+    /// repeats `key-1`.
+    fn duplicate_key() -> DuplicateKey {
         let mut b = DatasetBuilder::new(2);
         for i in 0..6 {
             let pop = RawPopularity::decode(vec![30, 61], 2);
-            b.push_video(&format!("key-{i}"), 100, &["t"], pop);
+            b.push_video(&format!("key-{i}"), 100 + i as u64, &["t"], pop);
         }
         let inner = ColumnarDataset::from_dataset(&b.build()).unwrap();
-        let clean = filter_columnar(&DuplicateKey {
+        DuplicateKey {
             inner,
             of: 1,
             copy: 4,
-        });
+        }
+    }
+
+    #[test]
+    fn a_duplicated_key_answers_with_its_first_position() {
+        let clean = filter_columnar(&duplicate_key());
         assert_eq!(clean.key_of(1), clean.key_of(4));
         for pos in 0..clean.len() {
             let key = clean.key_of(pos);
@@ -1085,6 +1063,31 @@ mod tests {
             assert_eq!(clean.position_of(key), first, "{key:?}");
         }
         assert_eq!(clean.position_of("key-1"), Some(1));
+    }
+
+    /// A stream keeps a repeated key's second row, as the cold build
+    /// does, however the source is cut.
+    #[test]
+    fn a_streamed_repeated_key_equals_the_cold_build() {
+        let src = duplicate_key();
+        let cold = filter_columnar(&src);
+        assert_eq!(cold.len(), 6);
+        for cuts in [&[][..], &[3], &[1, 2, 3, 4, 5]] {
+            let mut ingest = CleanIngest::new(2);
+            let mut from = 0;
+            for &to in cuts.iter().chain([&src.len()]) {
+                ingest.apply_range(&src, from, to);
+                from = to;
+            }
+            let streamed = ingest.snapshot(None);
+            assert_eq!(streamed.report(), cold.report(), "cuts {cuts:?}");
+            assert_eq!(streamed.views_column(), cold.views_column());
+            for pos in 0..cold.len() {
+                assert_eq!(streamed.key_of(pos), cold.key_of(pos), "cuts {cuts:?}");
+                assert_eq!(streamed.get(pos), cold.get(pos), "cuts {cuts:?}");
+            }
+            assert_eq!(streamed, cold, "cuts {cuts:?}");
+        }
     }
 
     #[test]
@@ -1105,10 +1108,11 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// The tentpole oracle: `filter(columnar.to_dataset())` and
-        /// `filter_columnar(columnar)` agree field for field — columns,
-        /// postings order, interner and `FilterReport` counts — on
-        /// random corpora mixing every popularity shape.
+        /// The record oracle: `filter(columnar.to_dataset())` and
+        /// `filter_columnar(columnar)` equal the record-path loop field
+        /// for field — columns, postings order, interner and
+        /// `FilterReport` counts — on random corpora mixing every
+        /// popularity shape.
         #[test]
         fn filter_columnar_matches_record_path(
             specs in proptest::collection::vec(
@@ -1135,11 +1139,15 @@ mod proptests {
                 };
                 b.push_video(&format!("v{i}"), *views, &tag_refs, pop);
             }
-            let columnar = ColumnarDataset::from_dataset(&b.build()).unwrap();
+            let records = b.build();
+            let oracle = filter_records(&records, records.len());
+            let columnar = ColumnarDataset::from_dataset(&records).unwrap();
             let via_records = filter(&columnar.to_dataset());
             let via_columns = filter_columnar(&columnar);
-            prop_assert_eq!(via_records.report(), via_columns.report());
-            prop_assert_eq!(&via_records, &via_columns);
+            prop_assert_eq!(via_records.report(), oracle.report());
+            prop_assert_eq!(via_columns.report(), oracle.report());
+            prop_assert_eq!(&via_records, &oracle);
+            prop_assert_eq!(&via_columns, &oracle);
         }
     }
 }

@@ -52,7 +52,7 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use tagdist_dataset::{CleanDataset, CleanIngest, Dataset, IngestDelta};
+use tagdist_dataset::{CleanDataset, CleanIngest, ColumnarRead, IngestDelta};
 use tagdist_geo::{CountryMatrix, GeoDist, GeoError};
 use tagdist_obs::SpanGuard;
 use tagdist_par::Pool;
@@ -143,10 +143,8 @@ impl SnapshotCell {
 pub struct IngestStats {
     /// Batches applied.
     pub batches: u64,
-    /// Unique records seen across all batches.
+    /// Records applied across all batches, kept or dropped.
     pub videos_seen: u64,
-    /// Records skipped as duplicate keys.
-    pub duplicates: u64,
     /// Videos retained by the filter.
     pub videos_kept: u64,
     /// Aggregate-row updates: one per (kept video, tag) pair.
@@ -194,7 +192,7 @@ impl IngestEngine {
         }
     }
 
-    /// Applies a whole dataset as one batch; see
+    /// Applies every record of `src` as the stream's first batch; see
     /// [`apply_from`](IngestEngine::apply_from).
     ///
     /// # Errors
@@ -203,12 +201,12 @@ impl IngestEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `batch` covers a different world size.
-    pub fn apply(&mut self, batch: &Dataset) -> Result<IngestDelta, GeoError> {
-        self.apply_from(batch, 0)
+    /// As for [`apply_range`](IngestEngine::apply_range).
+    pub fn apply<C: ColumnarRead>(&mut self, src: &C) -> Result<IngestDelta, GeoError> {
+        self.apply_from(src, 0)
     }
 
-    /// Applies the records of `dataset` from position `from` onward as
+    /// Applies the records of `src` from position `from` onward as
     /// one batch: filters them into the clean columns and reconstructs
     /// each new kept video's view row. Their tags' aggregates are
     /// extended by the next [`publish`](IngestEngine::publish).
@@ -224,12 +222,16 @@ impl IngestEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `dataset` covers a different world size.
-    pub fn apply_from(&mut self, dataset: &Dataset, from: usize) -> Result<IngestDelta, GeoError> {
-        self.apply_range(dataset, from, dataset.len())
+    /// As for [`apply_range`](IngestEngine::apply_range).
+    pub fn apply_from<C: ColumnarRead>(
+        &mut self,
+        src: &C,
+        from: usize,
+    ) -> Result<IngestDelta, GeoError> {
+        self.apply_range(src, from, src.len())
     }
 
-    /// Applies the records `from..to` of `dataset` as one batch — the
+    /// Applies the records `from..to` of `src` as one batch — the
     /// slicing that re-streams a saved crawl in fixed-size batches
     /// (`tagdist ingest --batches N`).
     ///
@@ -239,15 +241,18 @@ impl IngestEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `dataset` covers a different world size or the range
-    /// is out of bounds.
-    pub fn apply_range(
+    /// As for [`CleanIngest::apply_range`]: if `src` covers a different
+    /// world size, the range is out of bounds, or the batch does not
+    /// continue the stream (`from` is not the number of records
+    /// applied so far, or `src`'s tag vocabulary does not extend the
+    /// one adopted so far).
+    pub fn apply_range<C: ColumnarRead>(
         &mut self,
-        dataset: &Dataset,
+        src: &C,
         from: usize,
         to: usize,
     ) -> Result<IngestDelta, GeoError> {
-        let delta = self.clean.apply_range(dataset, from, to);
+        let delta = self.clean.apply_range(src, from, to);
         let new = delta.first_kept..delta.first_kept + delta.kept;
         // Reconstruct the new videos' rows into the open buffer on the
         // pool — per-row arithmetic identical to the cold
@@ -285,8 +290,7 @@ impl IngestEngine {
         let touched: usize = new.map(|pos| self.clean.tags_at(pos).len()).sum();
         self.stats.rows_touched += touched as u64;
         self.stats.batches += 1;
-        self.stats.videos_seen += delta.unique as u64;
-        self.stats.duplicates += delta.duplicates as u64;
+        self.stats.videos_seen += delta.records as u64;
         self.stats.videos_kept += delta.kept as u64;
         Ok(delta)
     }
@@ -382,8 +386,7 @@ impl IngestEngine {
 
     /// Records the engine's deterministic counters under an `ingest`
     /// child span of `parent` (`ingest.batches`, `.videos_seen`,
-    /// `.duplicates`, `.videos_kept`, `.rows_touched`,
-    /// `.epoch_flips`) — the gated smoke-subtree section. Counters are
+    /// `.videos_kept`, `.rows_touched`, `.epoch_flips`) — the gated smoke-subtree section. Counters are
     /// totals over the engine's lifetime and never depend on
     /// `TAGDIST_THREADS`: each is counted on the calling thread from
     /// the batch's records, whatever the pool's chunking.
@@ -392,7 +395,6 @@ impl IngestEngine {
         let obs = span.recorder();
         obs.add("ingest.batches", self.stats.batches);
         obs.add("ingest.videos_seen", self.stats.videos_seen);
-        obs.add("ingest.duplicates", self.stats.duplicates);
         obs.add("ingest.videos_kept", self.stats.videos_kept);
         obs.add("ingest.rows_touched", self.stats.rows_touched);
         obs.add("ingest.epoch_flips", self.stats.epoch_flips);
@@ -402,7 +404,7 @@ impl IngestEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tagdist_dataset::{filter, DatasetBuilder, RawPopularity};
+    use tagdist_dataset::{filter, Dataset, DatasetBuilder, RawPopularity};
 
     /// Cold rebuild of the pipeline over one dataset.
     fn cold(d: &Dataset, traffic: &GeoDist) -> EpochSnapshot {
@@ -493,23 +495,6 @@ mod tests {
             assert_equivalent(&snapshot, &rebuild);
         }
         assert_eq!(one_by_one.epoch(), d.len() as u64);
-    }
-
-    #[test]
-    fn duplicate_batches_do_not_change_state() {
-        let d = corpus(80);
-        let traffic = traffic3();
-        let mut engine = IngestEngine::new(traffic.clone());
-        engine.apply(&d).unwrap();
-        let first = engine.publish().unwrap();
-        let delta = engine.apply(&d).unwrap();
-        assert_eq!(delta.unique, 0);
-        assert_eq!(delta.duplicates, d.len());
-        let second = engine.publish().unwrap();
-        assert_eq!(second.epoch, 2);
-        assert_equivalent(&second, &first);
-        assert_equivalent(&second, &cold(&d, &traffic));
-        assert_eq!(engine.stats().duplicates, d.len() as u64);
     }
 
     #[test]
@@ -607,7 +592,7 @@ mod tests {
         let mut engine = IngestEngine::new(traffic.clone());
         let delta = engine.apply(&d).unwrap();
         assert_eq!(delta.kept, 0);
-        assert_eq!(delta.unique, 3);
+        assert_eq!(delta.records, 3);
         let snapshot = engine.publish().unwrap();
         assert!(snapshot.clean.is_empty());
         assert_eq!(snapshot.clean.tags().len(), 2);
@@ -629,13 +614,12 @@ mod tests {
     fn stats_account_for_everything_applied() {
         let d = corpus(60);
         let mut engine = IngestEngine::new(traffic3());
-        engine.apply(&d).unwrap();
-        engine.apply(&d).unwrap();
+        engine.apply_range(&d, 0, 25).unwrap();
+        engine.apply_range(&d, 25, 60).unwrap();
         engine.publish().unwrap();
         let s = engine.stats();
         assert_eq!(s.batches, 2);
         assert_eq!(s.videos_seen, 60);
-        assert_eq!(s.duplicates, 60);
         assert_eq!(s.epoch_flips, 1);
         let kept: u64 = filter(&d).report().kept as u64;
         assert_eq!(s.videos_kept, kept);
@@ -672,7 +656,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use tagdist_dataset::{filter, DatasetBuilder, RawPopularity};
+    use tagdist_dataset::{filter, Dataset, DatasetBuilder, RawPopularity};
 
     fn build(specs: &[(u64, usize, Vec<u8>)]) -> Dataset {
         let mut b = DatasetBuilder::new(3);
@@ -691,8 +675,9 @@ mod proptests {
         b.build()
     }
 
-    /// Records `[0, to)` of `d` as a dataset of their own (its own
-    /// tag ids, so applying it re-interns by name).
+    /// Records `[0, to)` of `d` as a dataset of their own, the way a
+    /// growing crawl holds them: its interner holds the names those
+    /// records use, in the order `d` interned them.
     fn prefix(d: &Dataset, to: usize) -> Dataset {
         let mut b = DatasetBuilder::new(3);
         for i in 0..to {
@@ -705,10 +690,10 @@ mod proptests {
 
     proptest! {
         /// The tentpole oracle, randomized: any contiguous batch split
-        /// (including size-1 and all-at-once extremes), published after
-        /// every cut, and any repeat application of already-seen
-        /// records converges to the same snapshot a cold rebuild
-        /// produces — and every earlier epoch still equals the cold
+        /// of one growing corpus (including size-1 and all-at-once
+        /// extremes, and repeated cuts that apply nothing), published
+        /// after every cut, converges to the same snapshot a cold
+        /// rebuild produces — and every earlier epoch equals the cold
         /// rebuild of its own prefix.
         #[test]
         fn any_batch_split_equals_cold_rebuild(
@@ -717,7 +702,6 @@ mod proptests {
                 1..30
             ),
             cut_seeds in proptest::collection::vec(0usize..1_000, 1..5),
-            dup_seed in 0usize..2,
         ) {
             let d = build(&specs);
             let traffic = GeoDist::from_slice(&[4.0, 2.0, 1.0]).unwrap();
@@ -732,19 +716,16 @@ mod proptests {
 
             let mut engine = IngestEngine::new(traffic.clone());
             // First batch: records [0, cuts[0]) as their own dataset.
-            let first = prefix(&d, cuts[0]);
-            engine.apply(&first).unwrap();
-            if dup_seed == 1 {
-                engine.apply(&first).unwrap();
-            }
+            engine.apply(&prefix(&d, cuts[0])).unwrap();
             let mut epochs = vec![(cuts[0], engine.publish().unwrap())];
-            // Later cuts as ranges of `d` itself, one publish each.
+            // Later cuts as the new records of the grown prefix, one
+            // publish each.
             for pair in cuts.windows(2) {
-                engine.apply_range(&d, pair[0], pair[1]).unwrap();
+                engine.apply_range(&prefix(&d, pair[1]), pair[0], pair[1]).unwrap();
                 epochs.push((pair[1], engine.publish().unwrap()));
             }
-            // Last batch: the whole dataset — everything seen dedupes.
-            engine.apply(&d).unwrap();
+            // Last batch: the rest of `d` itself.
+            engine.apply_from(&d, cuts[cuts.len() - 1]).unwrap();
             epochs.push((d.len(), engine.publish().unwrap()));
 
             for (to, snapshot) in &epochs {

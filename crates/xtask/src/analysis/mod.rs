@@ -4,14 +4,12 @@
 //! [`parse`] builds a per-file item tree with dataflow facts (lets,
 //! loops, method chains), [`passes`] runs the per-file determinism
 //! lints over it, and [`modgraph`] validates the workspace crate-layer
-//! DAG. [`cache`] keeps warm re-runs incremental and [`sarif`] emits
-//! the SARIF 2.1.0 report next to the JSON one.
+//! DAG. [`sarif`] emits the SARIF 2.1.0 report next to the JSON one.
 //!
 //! Per-file work fans out on the `tagdist-par` pool; diagnostics merge
 //! in deterministic (path, line, rule) order, so the report is
 //! byte-identical at any `TAGDIST_THREADS`.
 
-pub mod cache;
 pub mod modgraph;
 pub mod parse;
 pub mod passes;

@@ -26,14 +26,9 @@ pub const FILE_PASS_RULES: &[&str] = &[
 ];
 
 /// Paths (suffix or component match) where wall-clock time is part of
-/// the module's contract: the span recorder, the benchmark harness,
-/// the serve load generator (latency percentiles), and the analyzer's
-/// own self-timing module.
-const WALL_CLOCK_ALLOWED: &[&str] = &[
-    "crates/obs/src/recorder.rs",
-    "crates/serve/src/loadgen.rs",
-    "crates/xtask/src/selfbench.rs",
-];
+/// the module's contract: the span recorder, the benchmark harness and
+/// the serve load generator (latency percentiles).
+const WALL_CLOCK_ALLOWED: &[&str] = &["crates/obs/src/recorder.rs", "crates/serve/src/loadgen.rs"];
 const WALL_CLOCK_ALLOWED_DIRS: &[&str] = &["crates/bench/"];
 
 /// The vetted order-fixed reduction helpers live here; the pass must

@@ -120,7 +120,6 @@ mod tests {
                     allowed: true,
                 },
             ],
-            ..CheckOutcome::default()
         };
         let sarif = to_sarif(&outcome, &["no-panic", "wall-clock"]);
         let doc = Value::parse(&sarif).unwrap();

@@ -4,10 +4,9 @@
 //! ([`crate::rules`]), the per-file analysis passes
 //! ([`crate::analysis::passes`]) and the workspace-level passes
 //! (layer DAG, allowlist staleness). Per-file work runs on the
-//! `tagdist-par` pool and an optional content-hash cache skips
-//! unchanged files on warm runs; neither changes the output — the
-//! final report is sorted by (path, line, rule) and byte-identical at
-//! any thread count.
+//! `tagdist-par` pool, which does not change the output — the final
+//! report is sorted by (path, line, rule) and byte-identical at any
+//! thread count.
 
 use std::fs;
 use std::io;
@@ -16,8 +15,7 @@ use std::path::{Path, PathBuf};
 use tagdist_par::Pool;
 
 use crate::allowlist::AllowList;
-use crate::analysis::cache::{fnv1a, AnalysisCache};
-use crate::analysis::{modgraph, parse, passes, token, ALL_RULES};
+use crate::analysis::{modgraph, parse, passes, token};
 use crate::lexer;
 use crate::rules::{self, Violation};
 
@@ -42,12 +40,10 @@ pub const CHECKED_CRATES: &[&str] = &[
     "ytsim",
 ];
 
-/// Driver knobs; [`CheckConfig::default`] means no cache and the
-/// `TAGDIST_THREADS` pool.
+/// Driver knobs; [`CheckConfig::default`] means the `TAGDIST_THREADS`
+/// pool.
 #[derive(Debug, Clone, Default)]
 pub struct CheckConfig {
-    /// Analysis-cache file; `None` disables caching.
-    pub cache_path: Option<PathBuf>,
     /// Worker threads; `None` reads `TAGDIST_THREADS`.
     pub threads: Option<usize>,
 }
@@ -60,10 +56,6 @@ pub struct CheckOutcome {
     /// Every finding (allowed ones included), sorted by path then
     /// line.
     pub violations: Vec<Violation>,
-    /// Cache lookups answered without re-analysis (0 without a cache).
-    pub cache_hits: usize,
-    /// Cache lookups that re-analyzed the file.
-    pub cache_misses: usize,
 }
 
 impl CheckOutcome {
@@ -119,7 +111,7 @@ pub fn check_source(path_label: &str, source: &str, allow: &AllowList) -> Vec<Vi
 }
 
 /// Checks every library source file under `root` (the workspace root)
-/// with the default configuration (no cache).
+/// with the default configuration.
 ///
 /// # Errors
 ///
@@ -130,12 +122,11 @@ pub fn check_workspace(root: &Path, allow: &AllowList) -> io::Result<CheckOutcom
     check_workspace_with(root, allow, &CheckConfig::default())
 }
 
-/// [`check_workspace`] with explicit cache/thread configuration.
+/// [`check_workspace`] with an explicit thread configuration.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from reading the tree (a stale or unwritable
-/// cache is never an error — the cache degrades to a no-op).
+/// Propagates I/O errors from reading the tree.
 pub fn check_workspace_with(
     root: &Path,
     allow: &AllowList,
@@ -163,7 +154,6 @@ pub fn check_workspace_with(
     struct Input {
         label: String,
         source: String,
-        hash: u64,
     }
     let mut inputs = Vec::with_capacity(files.len());
     for file in &files {
@@ -173,55 +163,20 @@ pub fn check_workspace_with(
             .unwrap_or(file)
             .to_string_lossy()
             .replace('\\', "/");
-        let hash = fnv1a(source.as_bytes());
-        inputs.push(Input {
-            label,
-            source,
-            hash,
-        });
+        inputs.push(Input { label, source });
     }
-
-    let mut cache = config
-        .cache_path
-        .as_deref()
-        .map(|p| AnalysisCache::load(p, ALL_RULES));
-    let mut per_file: Vec<Option<Vec<Violation>>> = inputs
-        .iter()
-        .map(|inp| cache.as_mut().and_then(|c| c.lookup(&inp.label, inp.hash)))
-        .collect();
-    let pending: Vec<usize> = per_file
-        .iter()
-        .enumerate()
-        .filter_map(|(i, v)| v.is_none().then_some(i))
-        .collect();
 
     let pool = match config.threads {
         Some(t) => Pool::new(t),
         None => Pool::from_env(),
     };
-    let computed = pool.par_map(&pending, |_, &idx| {
-        let inp = &inputs[idx];
+    let per_file = pool.par_map(&inputs, |_, inp| {
         analyze_source(&inp.label, &inp.source, token_rules_apply(&inp.label))
     });
-    for (&idx, violations) in pending.iter().zip(&computed) {
-        if let Some(c) = cache.as_mut() {
-            c.store(&inputs[idx].label, inputs[idx].hash, violations);
-        }
-    }
-    for (idx, violations) in pending.into_iter().zip(computed) {
-        per_file[idx] = Some(violations);
-    }
-    let (cache_hits, cache_misses) = cache.as_ref().map_or((0, 0), |c| (c.hits, c.misses));
-    if let (Some(c), Some(p)) = (&cache, config.cache_path.as_deref()) {
-        // Best-effort: an unwritable cache only costs the next warm run.
-        let _ = c.save(p);
-    }
 
     let mut outcome = CheckOutcome {
         files_checked: inputs.len(),
-        violations: per_file.into_iter().flatten().flatten().collect(),
-        cache_hits,
-        cache_misses,
+        violations: per_file.into_iter().flatten().collect(),
     };
     outcome
         .violations

@@ -78,7 +78,6 @@ mod tests {
                 message: "m".to_owned(),
                 allowed: false,
             }],
-            ..CheckOutcome::default()
         };
         let json = to_json(&outcome);
         assert!(json.contains("\"files_checked\": 2"));

@@ -7,8 +7,7 @@
 //! parser-backed determinism passes in [`analysis`] (wall-clock,
 //! unordered-iter, unseeded-rng, float-reduction, layer-dag). It
 //! honours the `xtask-allow.toml` allowlist (and flags stale entries),
-//! caches per-file results by content hash, fans file analysis out on
-//! the `tagdist-par` pool, writes machine-readable JSON and SARIF
+//! fans file analysis out on the `tagdist-par` pool, writes machine-readable JSON and SARIF
 //! reports, and exits nonzero on any unsuppressed finding.
 //!
 //! `cargo xtask bench-gate` compares the deterministic counters of a
@@ -33,7 +32,6 @@ pub mod checker;
 pub mod jsonout;
 pub mod lexer;
 pub mod rules;
-pub mod selfbench;
 
 pub use allowlist::{AllowEntry, AllowList, AllowParseError};
 pub use analysis::{sarif::to_sarif, ALL_RULES};

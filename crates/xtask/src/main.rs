@@ -3,8 +3,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::analysis::cache::DEFAULT_CACHE_REL;
-use xtask::{benchgate, check_workspace_with, load_allowlist, to_json, to_sarif, CheckConfig};
+use xtask::{benchgate, check_workspace, load_allowlist, to_json, to_sarif};
 
 const USAGE: &str = "\
 usage: cargo xtask <command> [options]
@@ -14,7 +13,7 @@ commands:
                   analysis over the library crates (and xtask itself)
   bench-report    build and run the deterministic smoke-counter report
                   (tagdist-bench's `bench-report` binary, release
-                  profile), then append analyzer cold/warm self-timing
+                  profile)
   bench-gate      run `bench-report` and fail if its deterministic
                   counters regress against the checked-in bench-baseline.json
 
@@ -22,8 +21,6 @@ check options:
   --json <path>   write the JSON report here (default: target/xtask-check.json)
   --sarif <path>  also write a SARIF 2.1.0 report here
   --format <fmt>  stdout format: text (default), json, or sarif
-  --no-cache      ignore and do not write the per-file analysis cache
-                  (default: target/xtask-analysis-cache.json)
   --root <path>   workspace root (default: auto-detected from CARGO_MANIFEST_DIR)
   --quiet         suppress per-violation output
 
@@ -75,7 +72,6 @@ fn run(args: &[String]) -> Result<bool, String> {
     let mut json_path: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
     let mut format = "text".to_owned();
-    let mut no_cache = false;
     let mut root: Option<PathBuf> = None;
     let mut quiet = false;
     while let Some(arg) = iter.next() {
@@ -92,7 +88,6 @@ fn run(args: &[String]) -> Result<bool, String> {
                     return Err(format!("unknown format `{format}`"));
                 }
             }
-            "--no-cache" => no_cache = true,
             "--root" => {
                 root = Some(PathBuf::from(iter.next().ok_or("--root needs a path")?));
             }
@@ -105,11 +100,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         None => default_root()?,
     };
     let allow = load_allowlist(&root)?;
-    let config = CheckConfig {
-        cache_path: (!no_cache).then(|| root.join(DEFAULT_CACHE_REL)),
-        threads: None,
-    };
-    let outcome = check_workspace_with(&root, &allow, &config).map_err(|e| e.to_string())?;
+    let outcome = check_workspace(&root, &allow).map_err(|e| e.to_string())?;
 
     let json = to_json(&outcome);
     let json_path = json_path.unwrap_or_else(|| root.join("target/xtask-check.json"));
@@ -130,10 +121,8 @@ fn run(args: &[String]) -> Result<bool, String> {
                 }
             }
             println!(
-                "xtask check: {} files ({} cached), {} active violation(s), {} allowlisted; \
-                 report at {}",
+                "xtask check: {} files, {} active violation(s), {} allowlisted; report at {}",
                 outcome.files_checked,
-                outcome.cache_hits,
                 outcome.active_count(),
                 outcome.allowed_count(),
                 json_path.display()
@@ -153,8 +142,7 @@ fn write_report(path: &PathBuf, contents: &str) -> Result<(), String> {
 }
 
 /// Shells out to the release-profile benchmark binary, forwarding the
-/// optional output path (so `cargo xtask bench-report out.json` works),
-/// then appends the analyzer's cold/warm self-timing to the report.
+/// optional output path (so `cargo xtask bench-report out.json` works).
 fn run_bench_report(extra: &[String]) -> Result<bool, String> {
     if let Some(flag) = extra.iter().find(|a| a.starts_with('-')) {
         return Err(format!("unknown option `{flag}`"));
@@ -176,55 +164,7 @@ fn run_bench_report(extra: &[String]) -> Result<bool, String> {
         .args(extra)
         .status()
         .map_err(|e| format!("cannot launch cargo: {e}"))?;
-    if !status.success() {
-        return Ok(false);
-    }
-    let out_path = extra
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "bench-smoke.json".to_owned());
-    match append_analyzer_timing(&out_path) {
-        Ok(()) => {}
-        Err(e) => eprintln!("xtask: skipping analyzer self-timing for {out_path}: {e}"),
-    }
-    Ok(true)
-}
-
-/// Times a cold and a warm analyzer run and merges the result into the
-/// benchmark report as an `analyzer_self` object.
-fn append_analyzer_timing(out_path: &str) -> Result<(), String> {
-    use tagdist_obs::Value;
-    let root = default_root()?;
-    let bench =
-        xtask::selfbench::time_analyzer(&root, &root.join("target/xtask-selfbench-cache.json"))
-            .map_err(|e| e.to_string())?;
-    let text = std::fs::read_to_string(out_path).map_err(|e| e.to_string())?;
-    let mut doc = Value::parse(&text).map_err(|e| e.to_string())?;
-    let entry = Value::Obj(vec![
-        ("cold_us".to_owned(), Value::Num(bench.cold_us.to_string())),
-        ("warm_us".to_owned(), Value::Num(bench.warm_us.to_string())),
-        ("files".to_owned(), Value::Num(bench.files.to_string())),
-        (
-            "warm_cache_hits".to_owned(),
-            Value::Num(bench.warm_hits.to_string()),
-        ),
-    ]);
-    match &mut doc {
-        Value::Obj(entries) => {
-            entries.retain(|(k, _)| k != "analyzer_self");
-            entries.push(("analyzer_self".to_owned(), entry));
-        }
-        _ => return Err("report is not a JSON object".to_owned()),
-    }
-    let mut rendered = String::new();
-    doc.write(&mut rendered);
-    rendered.push('\n');
-    std::fs::write(out_path, rendered).map_err(|e| e.to_string())?;
-    println!(
-        "xtask bench-report: analyzer self-run {} files, cold {} us, warm {} us ({} cache hits)",
-        bench.files, bench.cold_us, bench.warm_us, bench.warm_hits
-    );
-    Ok(())
+    Ok(status.success())
 }
 
 /// Runs the smoke report (unless `--input` reuses one) and

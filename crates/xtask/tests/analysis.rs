@@ -1,6 +1,6 @@
 //! Integration tests for the analysis subsystem: parser round-trip
-//! over the real tree, layer-dag fixture workspaces, the content-hash
-//! cache, and thread-count determinism of the full report.
+//! over the real tree, layer-dag fixture workspaces, and thread-count
+//! determinism of the full report.
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -16,8 +16,7 @@ use std::path::{Path, PathBuf};
 use xtask::analysis::modgraph::{check_layers, workspace_spec};
 use xtask::analysis::{parse, token};
 use xtask::{
-    check_workspace_with, lexer, load_allowlist, to_json, to_sarif, AllowList, CheckConfig,
-    CHECKED_CRATES,
+    check_workspace_with, lexer, load_allowlist, to_json, to_sarif, CheckConfig, CHECKED_CRATES,
 };
 
 fn workspace_root() -> PathBuf {
@@ -119,89 +118,6 @@ fn layer_dag_fixture_workspaces() {
     assert!(violations.is_empty(), "{violations:?}");
 }
 
-/// Builds a minimal fake workspace (every checked crate with one good
-/// file) under a scratch dir.
-fn fake_workspace(tag: &str) -> PathBuf {
-    let scratch = std::env::temp_dir().join(format!("xtask-analysis-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&scratch);
-    let good = fs::read_to_string(fixture_dir().join("good.rs")).unwrap();
-    for krate in CHECKED_CRATES {
-        let src = scratch.join("crates").join(krate).join("src");
-        fs::create_dir_all(&src).unwrap();
-        fs::write(src.join("lib.rs"), &good).unwrap();
-    }
-    scratch
-}
-
-#[test]
-fn cache_skips_unchanged_files_and_invalidates_on_edit() {
-    let scratch = fake_workspace("cache");
-    let config = CheckConfig {
-        cache_path: Some(scratch.join("cache.json")),
-        threads: Some(2),
-    };
-    let allow = AllowList::empty();
-
-    let cold = check_workspace_with(&scratch, &allow, &config).unwrap();
-    assert_eq!(cold.cache_hits, 0);
-    assert_eq!(cold.cache_misses, cold.files_checked);
-    assert!(cold.is_clean(), "{:?}", cold.active().collect::<Vec<_>>());
-
-    let warm = check_workspace_with(&scratch, &allow, &config).unwrap();
-    assert_eq!(warm.cache_hits, warm.files_checked);
-    assert_eq!(warm.cache_misses, 0);
-    // Warm and cold runs must report identically, bytes included.
-    assert_eq!(to_json(&cold), to_json(&warm));
-    assert_eq!(
-        to_sarif(&cold, xtask::ALL_RULES),
-        to_sarif(&warm, xtask::ALL_RULES)
-    );
-
-    // Editing one file re-analyzes exactly that file and surfaces the
-    // new finding.
-    let bad = fs::read_to_string(fixture_dir().join("bad_no_panic.rs")).unwrap();
-    fs::write(scratch.join("crates/geo/src/lib.rs"), &bad).unwrap();
-    let edited = check_workspace_with(&scratch, &allow, &config).unwrap();
-    assert_eq!(edited.cache_misses, 1);
-    assert_eq!(edited.cache_hits, edited.files_checked - 1);
-    assert!(edited
-        .active()
-        .any(|v| v.rule == "no-panic" && v.path.contains("crates/geo")));
-
-    let _ = fs::remove_dir_all(&scratch);
-}
-
-/// Cached findings re-enter the allowlist each run: covering a cached
-/// violation suppresses it without re-analysis.
-#[test]
-fn cache_stores_findings_before_the_allowlist() {
-    let scratch = fake_workspace("allow");
-    let bad = fs::read_to_string(fixture_dir().join("bad_no_panic.rs")).unwrap();
-    fs::write(scratch.join("crates/geo/src/panicky.rs"), &bad).unwrap();
-    let config = CheckConfig {
-        cache_path: Some(scratch.join("cache.json")),
-        threads: Some(1),
-    };
-
-    let first = check_workspace_with(&scratch, &AllowList::empty(), &config).unwrap();
-    assert!(!first.is_clean());
-
-    let allow = AllowList::parse(
-        "[[allow]]\nrule = \"no-panic\"\npath = \"panicky.rs\"\nreason = \"fixture\"\n",
-    )
-    .unwrap();
-    let second = check_workspace_with(&scratch, &allow, &config).unwrap();
-    assert_eq!(second.cache_hits, second.files_checked);
-    assert!(
-        second.is_clean(),
-        "{:?}",
-        second.active().collect::<Vec<_>>()
-    );
-    assert_eq!(second.allowed_count(), 2);
-
-    let _ = fs::remove_dir_all(&scratch);
-}
-
 /// The acceptance bar: the full report over the real tree is
 /// byte-identical at 1 and 8 worker threads.
 #[test]
@@ -211,10 +127,7 @@ fn analyzer_output_is_thread_count_invariant() {
     let outcomes: Vec<_> = [1usize, 8]
         .iter()
         .map(|&t| {
-            let config = CheckConfig {
-                cache_path: None,
-                threads: Some(t),
-            };
+            let config = CheckConfig { threads: Some(t) };
             check_workspace_with(&root, &allow, &config).expect("tree scans")
         })
         .collect();

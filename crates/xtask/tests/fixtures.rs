@@ -173,7 +173,6 @@ fn binary_exit_codes_and_report() {
             .args([
                 "check",
                 "--quiet",
-                "--no-cache",
                 "--root",
                 &root.display().to_string(),
                 "--json",

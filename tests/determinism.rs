@@ -12,6 +12,7 @@
 )]
 
 use tagdist::crawler::{crawl, crawl_parallel, CrawlConfig};
+use tagdist::dataset::{ColumnarRead, Dataset, TagId};
 use tagdist::geo::TrafficModel;
 use tagdist::obs::Recorder;
 use tagdist::par::{Pool, THREADS_ENV};
@@ -313,7 +314,7 @@ fn incremental_ingest_equals_cold_rebuild_across_threads() {
             outcome.dataset,
         )
     };
-    let cold = |dataset: &tagdist::dataset::Dataset| {
+    let cold = |dataset: &Dataset| {
         let clean = filter(dataset);
         let recon = Reconstruction::compute(&clean, traffic).unwrap();
         let table = TagViewTable::aggregate(&clean, &recon);
@@ -344,127 +345,107 @@ fn incremental_ingest_equals_cold_rebuild_across_threads() {
     std::env::remove_var(THREADS_ENV);
 }
 
-/// The streamed cases the crawl-driven oracle above cannot reach, each
-/// checked at every publish against the cold
-/// filter → compute → aggregate rebuild of everything applied so far,
-/// field for field, at 1 and 2 pool threads:
-///
-/// * sources whose interners order the same names differently, then
-///   one that reuses source tag ids for new names, so the engine's tag
-///   memo must miss on the name check;
-/// * several `apply_range` calls before one publish;
-/// * an empty batch followed by a publish;
-/// * duplicate keys across datasets (first crawl wins).
+/// The streamed cases the crawl-driven oracle above cannot reach: one
+/// source cut at seeded random points, with repeated cuts (empty
+/// batches, the first one before any record) and several applies
+/// before one publish. Every epoch is checked at its publish against
+/// the cold filter → compute → aggregate rebuild of the records applied
+/// so far, under the source's vocabulary, field for field, at 1 and 2
+/// pool threads.
 #[test]
 fn streamed_edge_cases_equal_the_cold_rebuild_across_threads() {
-    use tagdist::dataset::{filter, Dataset, DatasetBuilder, VideoId};
+    use tagdist::dataset::filter_columnar;
     use tagdist::reconstruct::{IngestEngine, Reconstruction, TagViewTable};
 
     let traffic = tagdist::geo::GeoDist::from_slice(&[5.0, 2.0, 1.0]).unwrap();
-    let a = stream_source("a", &vocabulary("t", 0..100), 300);
-    let reversed: Vec<String> = vocabulary("t", 0..100).into_iter().rev().collect();
-    let b = stream_source("b", &reversed, 250);
-    let c = stream_source("c", &vocabulary("u", 0..80), 200);
-    // Keys a0..a299 again (duplicates), then a300..a349.
-    let d = stream_source("a", &vocabulary("t", 50..150), 350);
-    let empty = DatasetBuilder::new(3).build();
-
-    enum Step<'a> {
-        Apply(&'a Dataset, usize, usize),
-        Publish,
-    }
-    use Step::{Apply, Publish};
-    fn whole(d: &Dataset) -> Step<'_> {
-        Apply(d, 0, d.len())
-    }
-    let cases: Vec<(&str, Vec<Step>)> = vec![
-        (
-            "reordered and reused source ids, duplicate keys",
-            vec![
-                whole(&a),
-                Publish,
-                whole(&b),
-                Publish,
-                whole(&c),
-                Publish,
-                whole(&d),
-                Publish,
-            ],
-        ),
-        (
-            "several batches before one publish",
-            vec![
-                Apply(&a, 0, 100),
-                Apply(&a, 100, 101),
-                whole(&c),
-                Apply(&a, 101, 300),
-                whole(&b),
-                Publish,
-                whole(&d),
-                whole(&a),
-                Publish,
-            ],
-        ),
-        (
-            "empty batches, then publishes",
-            vec![
-                whole(&empty),
-                Publish,
-                whole(&a),
-                Publish,
-                Apply(&b, 40, 40),
-                Publish,
-                whole(&empty),
-                Publish,
-                whole(&b),
-                Publish,
-            ],
-        ),
-    ];
-
+    let source = stream_source("a", &vocabulary("t", 0..100), 300);
     for threads in ["1", "2"] {
         std::env::set_var(THREADS_ENV, threads);
-        for (name, steps) in &cases {
+        for seed in 1..=8u64 {
+            // A 64-bit LCG: the high bits of each state.
+            let mut state = seed;
+            let mut next = |bound: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % bound
+            };
+            let mut cuts: Vec<usize> = (0..10).map(|_| next(source.len() + 1)).collect();
+            cuts.extend([0, 0, cuts[0], source.len()]);
+            cuts.sort_unstable();
+
             let mut engine = IngestEngine::new(traffic.clone());
-            let mut applied = Vec::new();
-            for step in steps {
-                match *step {
-                    Apply(source, from, to) => {
-                        engine.apply_range(source, from, to).unwrap();
-                        applied.push((source, from, to));
-                    }
-                    Publish => {
-                        let snapshot = engine.publish().unwrap();
-                        // The concatenation a resumed crawl would save:
-                        // every record in order, the first key winning.
-                        let mut concatenated = DatasetBuilder::new(3);
-                        for &(source, from, to) in &applied {
-                            for i in from..to {
-                                let v = source.video(VideoId::from_index(i));
-                                let names: Vec<&str> =
-                                    v.tags.iter().map(|&t| source.tags().name(t)).collect();
-                                concatenated.push_video_titled(
-                                    &v.key,
-                                    &v.title,
-                                    v.total_views,
-                                    &names,
-                                    v.popularity.clone(),
-                                );
-                            }
-                        }
-                        let clean = filter(&concatenated.build());
-                        let recon = Reconstruction::compute(&clean, &traffic).unwrap();
-                        let table = TagViewTable::aggregate(&clean, &recon);
-                        let at = format!("{name}, epoch {}, {threads} threads", snapshot.epoch);
-                        assert_eq!(snapshot.clean, clean, "clean columns: {at}");
-                        assert_eq!(snapshot.recon, recon, "reconstruction: {at}");
-                        assert_eq!(snapshot.table, table, "aggregates: {at}");
-                    }
+            let mut from = 0;
+            for (k, &to) in cuts.iter().enumerate() {
+                engine.apply_range(&source, from, to).unwrap();
+                from = to;
+                // Publish after about half the cuts, and after the last.
+                if k + 1 < cuts.len() && next(2) == 0 {
+                    continue;
                 }
+                let snapshot = engine.publish().unwrap();
+                let clean = filter_columnar(&Prefix(&source, to));
+                let recon = Reconstruction::compute(&clean, &traffic).unwrap();
+                let table = TagViewTable::aggregate(&clean, &recon);
+                let at = format!("seed {seed}, {to} records, {threads} threads");
+                assert_eq!(snapshot.clean, clean, "clean columns: {at}");
+                assert_eq!(snapshot.recon, recon, "reconstruction: {at}");
+                assert_eq!(snapshot.table, table, "aggregates: {at}");
             }
         }
     }
     std::env::remove_var(THREADS_ENV);
+}
+
+/// Applying a source that does not continue the stream panics: here
+/// the second batch starts past the records applied so far.
+#[test]
+#[should_panic(expected = "does not continue the stream")]
+fn a_batch_that_does_not_continue_the_stream_panics() {
+    use tagdist::reconstruct::IngestEngine;
+
+    let traffic = tagdist::geo::GeoDist::from_slice(&[5.0, 2.0, 1.0]).unwrap();
+    let source = stream_source("a", &vocabulary("t", 0..100), 300);
+    let mut engine = IngestEngine::new(traffic);
+    engine.apply_range(&source, 0, 100).unwrap();
+    let _ = engine.apply_range(&source, 150, 200);
+}
+
+/// The first `.1` records of a dataset under its whole vocabulary: what
+/// a stream over the dataset has applied after that many records.
+struct Prefix<'a>(&'a Dataset, usize);
+
+impl ColumnarRead for Prefix<'_> {
+    fn len(&self) -> usize {
+        self.1
+    }
+    fn country_count(&self) -> usize {
+        self.0.country_count()
+    }
+    fn tag_count(&self) -> usize {
+        self.0.tag_count()
+    }
+    fn key(&self, i: usize) -> &str {
+        self.0.key(i)
+    }
+    fn title(&self, i: usize) -> &str {
+        self.0.title(i)
+    }
+    fn total_views(&self, i: usize) -> u64 {
+        ColumnarRead::total_views(self.0, i)
+    }
+    fn video_tags(&self, i: usize) -> impl ExactSizeIterator<Item = TagId> + '_ {
+        self.0.video_tags(i)
+    }
+    fn pop_kind(&self, i: usize) -> u8 {
+        self.0.pop_kind(i)
+    }
+    fn pop_payload(&self, i: usize) -> &[u8] {
+        self.0.pop_payload(i)
+    }
+    fn tag_name(&self, t: usize) -> &str {
+        self.0.tag_name(t)
+    }
 }
 
 /// A publish recycles the aggregate buffer of the epoch two publishes
@@ -503,11 +484,7 @@ fn vocabulary(prefix: &str, range: std::ops::Range<usize>) -> Vec<String> {
 /// `vocabulary` in order, so the dataset's interner assigns ids in
 /// vocabulary order; every fifth record carries no popularity map and
 /// is dropped by the filter.
-fn stream_source(
-    key_prefix: &str,
-    vocabulary: &[String],
-    videos: usize,
-) -> tagdist::dataset::Dataset {
+fn stream_source(key_prefix: &str, vocabulary: &[String], videos: usize) -> Dataset {
     use tagdist::dataset::{DatasetBuilder, RawPopularity};
 
     let mut b = DatasetBuilder::new(3);
